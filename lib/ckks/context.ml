@@ -7,6 +7,7 @@ type t = {
   plans : Ntt.plan array;
   special_plan : Ntt.plan;
   fft : Fftc.plan;
+  bitrev : int array;
   mutable pool : Fhe_par.Pool.t option;
   mutable arena : Arena.t option;
 }
@@ -32,6 +33,10 @@ let make ~n ~levels ?(level_bits = 28) () =
     plans = Array.map (fun p -> Ntt.make_plan ~n ~p) primes;
     special_plan = Ntt.make_plan ~n ~p:special;
     fft = Fftc.make_plan ~n;
+    bitrev =
+      (let rec log2 b k = if k = 1 then b else log2 (b + 1) (k / 2) in
+       let bits = log2 0 n in
+       Array.init n (fun i -> Ntt.bit_reverse i bits));
     pool = None;
     arena = None }
 

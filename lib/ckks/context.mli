@@ -15,6 +15,10 @@ type t = {
   plans : Ntt.plan array;  (** NTT plans for [q_1 … q_L] *)
   special_plan : Ntt.plan;
   fft : Fftc.plan;
+  bitrev : int array;
+      (** [bitrev.(i)] is [i] with its [log2 n] bits reversed: the
+          NTT output order (slot [i] holds the evaluation at
+          [ψ^(2·bitrev.(i)+1)]) *)
   mutable pool : Fhe_par.Pool.t option;
       (** when set, per-prime limb work fans out across these domains *)
   mutable arena : Arena.t option;

@@ -8,26 +8,15 @@ let encode (ctx : Context.t) ~level ~scale values =
   in
   Fftc.embed_inv ctx.Context.fft vals;
   (* coefficients as nearest-integer floats (exact for |x| < 2^53);
-     Float.rem of an exact float is exact, so every residue row sees the
-     same integer *)
+     of_float_coeffs reduces each one exactly, so every residue row sees
+     the same integer *)
   let n = ctx.Context.n in
   let coeff = Array.make n 0.0 in
   for i = 0 to nh - 1 do
     coeff.(i) <- Float.round (vals.(i).Complex.re *. scale);
     coeff.(i + nh) <- Float.round (vals.(i).Complex.im *. scale)
   done;
-  let out = Poly.zero ctx ~level ~special:false ~ntt:false in
-  for r = 0 to level - 1 do
-    let q = Context.prime ctx r in
-    let qf = float_of_int q in
-    let row = out.Poly.data.(r) in
-    for j = 0 to n - 1 do
-      let v = Float.rem coeff.(j) qf in
-      let v = if v < 0.0 then v +. qf else v in
-      Rvec.set row j (int_of_float v)
-    done
-  done;
-  Poly.to_ntt ctx out
+  Poly.to_ntt ctx (Poly.of_float_coeffs ctx ~level coeff)
 
 let decode (ctx : Context.t) ~scale p =
   let p = Poly.of_ntt ctx p in

@@ -108,17 +108,27 @@ let sub_plain (k : Keys.t) a values =
   let m = encode_at k ~level:a.level ~scale:a.scale values in
   { a with c0 = Poly.sub k.Keys.ctx a.c0 m }
 
+module A1 = Bigarray.Array1
+
 (* Σ_j [x]_{q_j} · ksk_j, then divide by the special prime: returns the
    (b, a) pair adding [x·target] under the secret key.
 
    Two phases, both fanned across the pool when one is attached:
    phase 1 brings each digit row to coefficient form (one inverse NTT
    per digit); phase 2 owns one output row each — for every digit it
-   base-extends the coefficients into that row's prime (a blit when the
-   primes coincide), forward-transforms once, and multiply-accumulates
-   against {e both} key polynomials, so the lifted transform is shared
-   between the b and a accumulators.  Digits accumulate in fixed order
-   with exact modular adds, so the result is width-independent. *)
+   base-extends the coefficients into that row's prime, forward-
+   transforms once, and multiply-accumulates against {e both} key
+   polynomials, so the lifted transform is shared between the b and a
+   accumulators.  Digit j on its own row r = j needs no lift at all:
+   it is row j of [x], already in NTT form, so L of the L·(L+1)
+   forward transforms are skipped.  Digits accumulate in fixed order
+   with exact modular adds, so the result is width-independent.
+
+   The inner loops call nothing (see the note in poly.ml): the centered
+   lift of a chain digit has |c| <= q_j/2 < q_r for primes of equal
+   width (one conditional add of q_r, no divide), and the Barrett
+   product is inlined with its remainder in [0, 3q) folded into the
+   accumulator, so one [0, 4q) sum takes two branchless subtractions. *)
 let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
   let ctx = k.Keys.ctx in
   let n = ctx.Context.n in
@@ -128,27 +138,37 @@ let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
       Ntt.inverse (Context.plan ctx j) digits.(j));
   let acc_b = Poly.zero ctx ~level ~special:true ~ntt:true in
   let acc_a = Poly.zero ctx ~level ~special:true ~ntt:true in
+  if Rvec.checked then
+    Poly.guard ctx "Evaluator.key_switch"
+      (x :: acc_b :: acc_a
+       :: (Array.to_list sk.Keys.kb @ Array.to_list sk.Keys.ka));
   let nrows = level + 1 in
   Context.par_rows ctx nrows (fun r ->
       let pi = if r < level then r else ctx.Context.levels in
-      let q = Context.prime ctx pi in
       let plan = Context.plan ctx pi in
-      let br = Ntt.barrett plan in
+      let { Modarith.Barrett.p = q; mu; s1; s2 } = Ntt.barrett plan in
+      let two_q = 2 * q in
       let rb = acc_b.Poly.data.(r) and ra = acc_a.Poly.data.(r) in
-      let tmp = Rvec.create n in
+      let tmp = A1.create Bigarray.int Bigarray.c_layout n in
       for j = 0 to level - 1 do
-        let qj = Context.prime ctx j in
-        let dj = digits.(j) in
-        if qj = q then Rvec.blit dj tmp
-        else begin
-          let half = qj / 2 in
-          for i = 0 to n - 1 do
-            let c = Rvec.get dj i in
-            let c = if c > half then c - qj else c in
-            Rvec.set tmp i (Fhe_util.Bits.pos_rem c q)
-          done
-        end;
-        Ntt.forward plan tmp;
+        let lifted =
+          if j = r then x.Poly.data.(j)
+          else begin
+            let qj = Context.prime ctx j in
+            let half = qj / 2 in
+            (* a chain wider than the target prime takes the divide *)
+            let wide = half >= q in
+            let dj = digits.(j) in
+            for i = 0 to n - 1 do
+              let c = A1.unsafe_get dj i in
+              let c = c - (qj land ((half - c) asr 62)) in
+              let c = if wide then c mod q else c in
+              A1.unsafe_set tmp i (c + (q land (c asr 62)))
+            done;
+            Ntt.forward plan tmp;
+            tmp
+          end
+        in
         (* key rows: keys live in the full (levels, special) basis, so
            chain row r aligns with key row r and the special row with
            the key's last row *)
@@ -156,11 +176,17 @@ let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
         let key_row p = p.Poly.data.(if r < level then r else Poly.rows p - 1) in
         let kb = key_row kb_j and ka = key_row ka_j in
         for i = 0 to n - 1 do
-          let d = Rvec.get tmp i in
-          let b' = Rvec.get rb i + Modarith.Barrett.mul br d (Rvec.get kb i) in
-          Rvec.set rb i (if b' >= q then b' - q else b');
-          let a' = Rvec.get ra i + Modarith.Barrett.mul br d (Rvec.get ka i) in
-          Rvec.set ra i (if a' >= q then a' - q else a')
+          let d = A1.unsafe_get lifted i in
+          let xb = d * A1.unsafe_get kb i in
+          let xb = xb - ((((xb lsr s1) * mu) lsr s2) * q) in
+          let s = A1.unsafe_get rb i + xb - two_q in
+          let s = s + (two_q land (s asr 62)) - q in
+          A1.unsafe_set rb i (s + (q land (s asr 62)));
+          let xa = d * A1.unsafe_get ka i in
+          let xa = xa - ((((xa lsr s1) * mu) lsr s2) * q) in
+          let s = A1.unsafe_get ra i + xa - two_q in
+          let s = s + (two_q land (s asr 62)) - q in
+          A1.unsafe_set ra i (s + (q land (s asr 62)))
         done
       done);
   (Poly.drop_last ctx acc_b, Poly.drop_last ctx acc_a)

@@ -74,3 +74,10 @@ val rotate : Keys.t -> ct -> int -> ct
 val scale_mismatch_tolerance : float
 (** Maximum relative operand-scale mismatch [add] accepts (the RNS prime
     drift bound; see DESIGN.md). *)
+
+val key_switch : Keys.t -> Poly.t -> Keys.switch_key -> Poly.t * Poly.t
+(** [key_switch k x sk] is the pair [(b, a)], at [x]'s level in NTT
+    form, with [b + a·s ≈ x·target] where [sk] switches [target] onto
+    the secret [s]: decompose [x] by chain prime, multiply-accumulate
+    the digits against [sk] in the extended basis, divide by the
+    special prime.  The core of relinearization and rotation. *)

@@ -49,8 +49,11 @@ val mul_shoup : int -> int -> int -> m:int -> int
 (** Like {!mul_shoup_lazy} but canonical: result in [[0, m)]. *)
 
 module Barrett : sig
-  type t
-  (** Precomputed constants for one modulus. *)
+  type t = private { p : int; mu : int; s1 : int; s2 : int }
+  (** Precomputed constants for one modulus: [mu = floor (2^2k / p)],
+      [s1 = k - 1], [s2 = k + 1] for [k] the bit length of [p].  The
+      fields are readable so hot loops can inline {!reduce} at the use
+      site (without flambda, a cross-module call never inlines). *)
 
   val make : int -> t
   (** @raise Invalid_argument if the modulus is not in [[2, 2^30)]. *)

@@ -21,6 +21,12 @@ let zero (ctx : Context.t) ~level ~special ~ntt =
   { level; special; ntt;
     data = Array.init nrows (fun _ -> Context.alloc_row ctx) }
 
+(* Rows with unspecified contents, for kernels that write every cell. *)
+let alloc (ctx : Context.t) ~level ~special ~ntt =
+  let nrows = level + if special then 1 else 0 in
+  { level; special; ntt;
+    data = Array.init nrows (fun _ -> Context.alloc_row_raw ctx) }
+
 let copy t = { t with data = Array.map Rvec.copy t.data }
 
 (* Arena-aware copy: rows come from the context's freelist when one is
@@ -37,18 +43,6 @@ let copy_into (ctx : Context.t) t =
 
 let release (ctx : Context.t) t =
   Array.iter (Context.release_row ctx) t.data
-
-let of_coeff_array (ctx : Context.t) ~level ~special coeffs =
-  assert (Array.length coeffs = ctx.Context.n);
-  let t = zero ctx ~level ~special ~ntt:false in
-  for r = 0 to rows t - 1 do
-    let q = Context.prime ctx (prime_index ctx t r) in
-    let row = t.data.(r) in
-    for j = 0 to ctx.Context.n - 1 do
-      Rvec.set row j (Fhe_util.Bits.pos_rem coeffs.(j) q)
-    done
-  done;
-  t
 
 let to_ntt (ctx : Context.t) t =
   if t.ntt then t
@@ -72,30 +66,111 @@ let check_compat a b =
   if a.level <> b.level || a.special <> b.special || a.ntt <> b.ntt then
     invalid_arg "Poly: basis/form mismatch"
 
+(* The row kernels.
+
+   Under dune's default profile the compiler runs with [-opaque] and
+   without flambda, so every cross-module function in an inner loop —
+   [Rvec.get]/[set], [Modarith.Barrett.mul], [Modarith.mul_shoup],
+   [Fhe_util.Bits.pos_rem] — is an out-of-line closure call
+   ([caml_applyN]).  The loops below therefore call nothing: they apply
+   [Bigarray.Array1.unsafe_get]/[unsafe_set] syntactically on
+   concretely typed rows (one load/store each), inline the Barrett and
+   Shoup arithmetic, and bring values into range with the branchless
+   sign mask [x + (q land (x asr 62))] — [x asr 62] is -1 exactly when
+   [x] is negative, so the conditional add costs an and+add.  Every
+   result is the canonical residue the pre-rewrite kernels (kept as
+   Reference.Poly) compute.  Indices are loop-derived and bounded by
+   [n], so the debug mode's obligation is the one up-front length
+   check in [guard]. *)
+
+module A1 = Bigarray.Array1
+
+let guard (ctx : Context.t) what polys =
+  if Rvec.checked then
+    List.iter
+      (fun p ->
+        Array.iter
+          (fun (v : Rvec.t) ->
+            if A1.dim v <> ctx.Context.n then
+              invalid_arg
+                (Printf.sprintf "%s: row length %d does not match n = %d" what
+                   (A1.dim v) ctx.Context.n))
+          p.data)
+      polys
+
+let of_coeff_array (ctx : Context.t) ~level ~special coeffs =
+  let n = ctx.Context.n in
+  assert (Array.length coeffs = n);
+  let t = alloc ctx ~level ~special ~ntt:false in
+  guard ctx "Poly.of_coeff_array" [ t ];
+  for r = 0 to rows t - 1 do
+    let q = Context.prime ctx (prime_index ctx t r) in
+    let row = t.data.(r) in
+    for j = 0 to n - 1 do
+      let c = Array.unsafe_get coeffs j in
+      (* sampled coefficients are far below q; only others divide *)
+      let c = if c < q && c > -q then c else c mod q in
+      A1.unsafe_set row j (c + (q land (c asr 62)))
+    done
+  done;
+  t
+
+let of_float_coeffs (ctx : Context.t) ~level coeffs =
+  let n = ctx.Context.n in
+  assert (Array.length coeffs = n);
+  let t = alloc ctx ~level ~special:false ~ntt:false in
+  guard ctx "Poly.of_float_coeffs" [ t ];
+  for r = 0 to level - 1 do
+    let q = Context.prime ctx r in
+    let two_q = 2 * q in
+    let qf = float_of_int q in
+    let qinv = 1.0 /. qf in
+    let row = t.data.(r) in
+    for j = 0 to n - 1 do
+      let x = Array.unsafe_get coeffs j in
+      if Float.abs x < 0x1p53 then begin
+        (* the float quotient x·(1/q) is off by far less than one, so
+           its truncation is within one of trunc (x/q): x − k·q lies in
+           (−2q, 2q), and two sign-mask steps give x mod q in [0, q) —
+           what the exact Float.rem below computes *)
+        let v = int_of_float x - (int_of_float (x *. qinv) * q) in
+        let v = v + (two_q land (v asr 62)) - q in
+        A1.unsafe_set row j (v + (q land (v asr 62)))
+      end
+      else begin
+        let v = Float.rem x qf in
+        A1.unsafe_set row j (int_of_float (if v < 0.0 then v +. qf else v))
+      end
+    done
+  done;
+  t
+
 let add (ctx : Context.t) a b =
   check_compat a b;
-  let out = zero ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  guard ctx "Poly.add" [ a; b; out ];
   let n = ctx.Context.n in
   for r = 0 to rows a - 1 do
     let q = Context.prime ctx (prime_index ctx a r) in
     let ra = a.data.(r) and rb = b.data.(r) and ro = out.data.(r) in
     for j = 0 to n - 1 do
-      let s = Rvec.get ra j + Rvec.get rb j in
-      Rvec.set ro j (if s >= q then s - q else s)
+      let s = A1.unsafe_get ra j + A1.unsafe_get rb j - q in
+      A1.unsafe_set ro j (s + (q land (s asr 62)))
     done
   done;
   out
 
 let sub (ctx : Context.t) a b =
   check_compat a b;
-  let out = zero ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  guard ctx "Poly.sub" [ a; b; out ];
   let n = ctx.Context.n in
   for r = 0 to rows a - 1 do
     let q = Context.prime ctx (prime_index ctx a r) in
     let ra = a.data.(r) and rb = b.data.(r) and ro = out.data.(r) in
     for j = 0 to n - 1 do
-      let d = Rvec.get ra j - Rvec.get rb j in
-      Rvec.set ro j (if d < 0 then d + q else d)
+      let d = A1.unsafe_get ra j - A1.unsafe_get rb j in
+      A1.unsafe_set ro j (d + (q land (d asr 62)))
     done
   done;
   out
@@ -103,41 +178,54 @@ let sub (ctx : Context.t) a b =
 let mul (ctx : Context.t) a b =
   if not (a.ntt && b.ntt) then invalid_arg "Poly.mul: operands must be NTT";
   check_compat a b;
-  let out = zero ctx ~level:a.level ~special:a.special ~ntt:true in
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:true in
+  guard ctx "Poly.mul" [ a; b; out ];
   let n = ctx.Context.n in
   for r = 0 to rows a - 1 do
-    let br = Ntt.barrett (Context.plan ctx (prime_index ctx a r)) in
+    let { Modarith.Barrett.p = q; mu; s1; s2 } =
+      Ntt.barrett (Context.plan ctx (prime_index ctx a r))
+    in
     let ra = a.data.(r) and rb = b.data.(r) and ro = out.data.(r) in
     for j = 0 to n - 1 do
-      Rvec.set ro j (Modarith.Barrett.mul br (Rvec.get ra j) (Rvec.get rb j))
+      (* Barrett: the quotient estimate is short by at most 2, so the
+         remainder is in [0, 3q) and two subtractions canonicalize *)
+      let x = A1.unsafe_get ra j * A1.unsafe_get rb j in
+      let y = x - ((((x lsr s1) * mu) lsr s2) * q) - q in
+      let y = y + (q land (y asr 62)) - q in
+      A1.unsafe_set ro j (y + (q land (y asr 62)))
     done
   done;
   out
 
 let neg (ctx : Context.t) a =
-  let out = zero ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  guard ctx "Poly.neg" [ a; out ];
   let n = ctx.Context.n in
   for r = 0 to rows a - 1 do
     let q = Context.prime ctx (prime_index ctx a r) in
     let ra = a.data.(r) and ro = out.data.(r) in
     for j = 0 to n - 1 do
-      let x = Rvec.get ra j in
-      Rvec.set ro j (if x = 0 then 0 else q - x)
+      let y = - A1.unsafe_get ra j in
+      A1.unsafe_set ro j (y + (q land (y asr 62)))
     done
   done;
   out
 
 let mul_scalar_fn (ctx : Context.t) a scalar_of =
-  let out = zero ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  guard ctx "Poly.mul_scalar_fn" [ a; out ];
   let n = ctx.Context.n in
   for r = 0 to rows a - 1 do
     let pi = prime_index ctx a r in
     let q = Context.prime ctx pi in
     let s = Fhe_util.Bits.pos_rem (scalar_of pi) q in
+    (* Shoup: [x·s − ((x·sp) >> 31)·q] is in [0, 2q) for [sp] as below *)
     let sp = Modarith.shoup s ~m:q in
     let ra = a.data.(r) and ro = out.data.(r) in
     for j = 0 to n - 1 do
-      Rvec.set ro j (Modarith.mul_shoup (Rvec.get ra j) s sp ~m:q)
+      let x = A1.unsafe_get ra j in
+      let y = (x * s) - (((x * sp) lsr 31) * q) - q in
+      A1.unsafe_set ro j (y + (q land (y asr 62)))
     done
   done;
   out
@@ -148,6 +236,7 @@ let drop_last ?keep (ctx : Context.t) t =
   let last_row = rows t - 1 in
   let last_pi = prime_index ctx t last_row in
   let q_last = Context.prime ctx last_pi in
+  let half = q_last / 2 in
   (* bring the dropped component to coefficient form *)
   let dropped = Rvec.copy t.data.(last_row) in
   Ntt.inverse (Context.plan ctx last_pi) dropped;
@@ -160,44 +249,74 @@ let drop_last ?keep (ctx : Context.t) t =
           invalid_arg "Poly.drop_last: keep out of range";
         l
   in
-  let out = zero ctx ~level:out_level ~special:false ~ntt:true in
+  let out = alloc ctx ~level:out_level ~special:false ~ntt:true in
+  guard ctx "Poly.drop_last" [ t; out ];
   Context.par_rows ctx out_level (fun r ->
       let pi = prime_index ctx out r in
       let q = Context.prime ctx pi in
+      let two_q = 2 * q in
       let inv_last = Modarith.inv (q_last mod q) ~m:q in
       let il_sh = Modarith.shoup inv_last ~m:q in
+      (* the centered lift has |c| <= q_last/2, which is below 2q for
+         every chain Context builds (the special prime is one bit wider
+         than the chain primes); a wider gap takes the divide *)
+      let wide = half >= two_q in
       (* centered lift of the dropped component, reduced mod q, in NTT *)
-      let lifted = Rvec.create n in
+      let lifted = A1.create Bigarray.int Bigarray.c_layout n in
       for j = 0 to n - 1 do
-        Rvec.set lifted j
-          (Fhe_util.Bits.pos_rem (Modarith.center (Rvec.get dropped j) ~m:q_last) q)
+        let c = A1.unsafe_get dropped j in
+        let c = c - (q_last land ((half - c) asr 62)) in
+        let c = if wide then c mod q else c in
+        let c = c + (two_q land (c asr 62)) - q in
+        A1.unsafe_set lifted j (c + (q land (c asr 62)))
       done;
       Ntt.forward (Context.plan ctx pi) lifted;
       let src = t.data.(r) and dst = out.data.(r) in
       for j = 0 to n - 1 do
-        let d = Rvec.get src j - Rvec.get lifted j in
-        let d = if d < 0 then d + q else d in
-        Rvec.set dst j (Modarith.mul_shoup d inv_last il_sh ~m:q)
+        let d = A1.unsafe_get src j - A1.unsafe_get lifted j in
+        let d = d + (q land (d asr 62)) in
+        let y = (d * inv_last) - (((d * il_sh) lsr 31) * q) - q in
+        A1.unsafe_set dst j (y + (q land (y asr 62)))
       done);
   out
 
 let automorphism (ctx : Context.t) t ~g =
   let n = ctx.Context.n in
   if g land 1 = 0 then invalid_arg "Poly.automorphism: g must be odd";
-  let was_ntt = t.ntt in
-  let t = of_ntt ctx t in
-  let out = zero ctx ~level:t.level ~special:t.special ~ntt:false in
-  for r = 0 to rows t - 1 do
-    let q = Context.prime ctx (prime_index ctx t r) in
-    let src = t.data.(r) and dst = out.data.(r) in
-    for j = 0 to n - 1 do
-      let k = j * g mod (2 * n) in
-      let x = Rvec.get src j in
-      if k < n then Rvec.set dst k x
-      else Rvec.set dst (k - n) (if x = 0 then 0 else q - x)
+  let mask = (2 * n) - 1 in
+  let out = alloc ctx ~level:t.level ~special:t.special ~ntt:t.ntt in
+  guard ctx "Poly.automorphism" [ t; out ];
+  if t.ntt then begin
+    (* Slot i holds the evaluation at ψ^(2·bitrev(i)+1), and X ↦ X^g
+       moves the evaluation at ψ^e to ψ^(e·g): slot i of the image is
+       the input slot at exponent (2·bitrev(i)+1)·g mod 2n — a gather,
+       no transforms and no arithmetic on the residues. *)
+    let brv = ctx.Context.bitrev in
+    for r = 0 to rows t - 1 do
+      let src = t.data.(r) and dst = out.data.(r) in
+      for i = 0 to n - 1 do
+        let e = (((2 * Array.unsafe_get brv i) + 1) * g) land mask in
+        A1.unsafe_set dst i (A1.unsafe_get src (Array.unsafe_get brv (e lsr 1)))
+      done
     done
-  done;
-  if was_ntt then to_ntt ctx out else out
+  end
+  else
+    (* coefficient j moves to j·g mod 2n, negated past n (X^n = -1);
+       j ↦ j·g mod n is a bijection for odd g, so every cell is written *)
+    for r = 0 to rows t - 1 do
+      let q = Context.prime ctx (prime_index ctx t r) in
+      let src = t.data.(r) and dst = out.data.(r) in
+      for j = 0 to n - 1 do
+        let k = (j * g) land mask in
+        let x = A1.unsafe_get src j in
+        if k < n then A1.unsafe_set dst k x
+        else begin
+          let y = -x in
+          A1.unsafe_set dst (k - n) (y + (q land (y asr 62)))
+        end
+      done
+    done;
+  out
 
 let equal_basis a b = a.level = b.level && a.special = b.special
 

@@ -6,11 +6,16 @@
     operations that need coefficients (rescale, key-switch
     decomposition, automorphism, decoding) convert transiently.
 
-    Rows are {!Rvec.t} bigarray vectors (unboxed 64-bit cells), and the
-    per-row loops use the plan's precomputed Shoup/Barrett constants —
-    no division on any hot path.  When the context has a pool attached
-    ({!Context.set_pool}), row work fans out across it with results
-    identical to the sequential path. *)
+    Rows are {!Rvec.t} bigarray vectors (unboxed 64-bit cells).  The
+    row loops call no function: they access rows with syntactic
+    [Bigarray.Array1.unsafe_get]/[unsafe_set] and inline the plan's
+    Shoup/Barrett constants and a branchless range fix-up, so no
+    residue kernel divides — except the rare lift of a value at least
+    as wide as the target prime ([of_coeff_array] on large inputs,
+    [drop_last] across primes more than one bit apart), which takes
+    one hardware divide per element.  When the context has a pool
+    attached ({!Context.set_pool}), row work fans out across it with
+    results identical to the sequential path. *)
 
 type t = {
   level : int;
@@ -38,11 +43,19 @@ val release : Context.t -> t -> unit
 val of_coeff_array : Context.t -> level:int -> special:bool -> int array -> t
 (** Lift small signed coefficients into every basis row (coeff form). *)
 
+val of_float_coeffs : Context.t -> level:int -> float array -> t
+(** Residues of integer-valued float coefficients (rounded, scaled
+    embeddings) in chain rows [0..level-1], coefficient form: row [i]
+    holds [x mod q_i] in [\[0, q_i)], exactly. *)
+
 val to_ntt : Context.t -> t -> t
 (** No-op if already in NTT form. *)
 
 val of_ntt : Context.t -> t -> t
 (** Inverse transform; no-op if already in coefficient form. *)
+
+val check_compat : t -> t -> unit
+(** @raise Invalid_argument unless both have the same basis and form. *)
 
 val add : Context.t -> t -> t -> t
 
@@ -68,7 +81,8 @@ val drop_last : ?keep:int -> Context.t -> t -> t
 
 val automorphism : Context.t -> t -> g:int -> t
 (** Apply the Galois map [X ↦ X^g] ([g] odd, mod [2n]); any form, result
-    in the same form as the input. *)
+    in the same form as the input.  In NTT form this is a pure index
+    permutation of each row (no transforms). *)
 
 val equal_basis : t -> t -> bool
 
@@ -76,3 +90,9 @@ val restrict : Context.t -> t -> level:int -> special:bool -> t
 (** Keep only the first [level] chain rows (and the special row if
     requested): reduction mod a smaller modulus, which in RNS is just
     dropping rows.  @raise Invalid_argument when growing the basis. *)
+
+val guard : Context.t -> string -> t list -> unit
+(** [guard ctx what polys] checks, in the bounds-checked debug mode
+    ({!Rvec.checked}) only, that every row of [polys] has [n] cells —
+    the one condition the unchecked row loops rely on.  Raises
+    [Invalid_argument] naming [what] otherwise. *)

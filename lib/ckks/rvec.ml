@@ -1,8 +1,13 @@
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* FHE_CKKS_CHECKED=1 turns every access into a bounds-checked one.
-   Read once at module load: the branch below is on an immutable bool,
-   which the compiler hoists out of the hot loops. *)
+   Read once at module load, but tested on every [get]/[set]: nothing
+   hoists the branch, and called from another module (dune's default
+   profile passes -opaque; there is no flambda) each access is an
+   out-of-line closure call besides.  So the hot kernels (Ntt, the Poly
+   row loops, Evaluator.key_switch) never call [get]/[set]: they apply
+   Bigarray.Array1.unsafe_get/set directly and, when [checked] is set,
+   check every row's length once per call instead. *)
 let checked =
   match Sys.getenv_opt "FHE_CKKS_CHECKED" with
   | Some ("1" | "true" | "yes") -> true

@@ -6,8 +6,13 @@
      across n = 2^4 .. 2^12, roundtrip to the identity, and implement
      negacyclic convolution (vs the O(n^2) schoolbook product);
    - the optimized forward transform is measurably faster than the
-     Reference at n = 2^12 (the regression guard for the speedup the
-     PR claims);
+     Reference at n = 2^12 (the regression guard for its speedup);
+   - the call-free Poly row kernels and key switch are bit-exact
+     against their retained Reference at every level 1..4, with and
+     without the special row, n = 2^4 .. 2^12, at pool widths 1 and 4;
+     the NTT-domain automorphism equals the coefficient-domain map for
+     every rotation-group element and g = 2n - 1; the optimized key
+     switch is at least 1.3x its Reference at n = 2^10, L = 12;
    - all 8 registry apps plus the 2 tensor-frontend apps x all 5
      compilers execute end-to-end on Ckks.Backend within their pinned
      decrypt-precision bounds;
@@ -124,6 +129,290 @@ let test_ntt_speedup () =
       "optimized NTT only %.2fx over Reference at n=%d (want >= 3x): \
        %.3f ms vs %.3f ms"
       speedup n t_opt t_ref
+
+(* ------------------------------------------------------------------ *)
+(* Ring kernels: the call-free Poly kernels and key switch vs the
+   retained Reference code *)
+
+module P = Ckks.Poly
+
+let same_poly what (got : P.t) (want : P.t) =
+  if
+    got.P.level <> want.P.level || got.P.special <> want.P.special
+    || got.P.ntt <> want.P.ntt
+    || Array.length got.P.data <> Array.length want.P.data
+  then Alcotest.failf "%s: basis or form differs from Reference" what;
+  Array.iteri
+    (fun r v ->
+      if Ckks.Rvec.to_array v <> Ckks.Rvec.to_array want.P.data.(r) then
+        Alcotest.failf "%s: row %d differs from Reference" what r)
+    got.P.data
+
+(* uniform canonical residues on every row of the basis *)
+let random_poly g (ctx : Ckks.Context.t) ~level ~special ~ntt =
+  let p = P.zero ctx ~level ~special ~ntt in
+  Array.iteri
+    (fun r row ->
+      let q = Ckks.Context.prime ctx (P.prime_index ctx p r) in
+      for j = 0 to ctx.Ckks.Context.n - 1 do
+        Ckks.Rvec.set row j (Fhe_util.Prng.int g q)
+      done)
+    p.P.data;
+  p
+
+(* run [f] sequentially, then again with a 4-domain pool attached *)
+let at_widths ctx f =
+  f 1;
+  Fhe_par.Pool.with_pool ~domains:4 (fun pool ->
+      Ckks.Context.set_pool ctx (Some pool);
+      Fun.protect
+        ~finally:(fun () -> Ckks.Context.set_pool ctx None)
+        (fun () -> f 4))
+
+let kernel_levels = 4
+
+let kernel_logns = [ 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
+
+let test_poly_kernels_bit_exact () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      let ctx = Ckks.Context.make ~n ~levels:kernel_levels () in
+      let g = Fhe_util.Prng.create (logn * 31) in
+      at_widths ctx (fun width ->
+          for level = 1 to kernel_levels do
+            List.iter
+              (fun special ->
+                let tag s =
+                  Printf.sprintf "%s n=%d level=%d special=%b -j%d" s n level
+                    special width
+                in
+                List.iter
+                  (fun ntt ->
+                    let tag s = tag (if ntt then s ^ " (ntt)" else s) in
+                    let a = random_poly g ctx ~level ~special ~ntt in
+                    let b = random_poly g ctx ~level ~special ~ntt in
+                    same_poly (tag "add") (P.add ctx a b)
+                      (Ckks.Reference.Poly.add ctx a b);
+                    same_poly (tag "sub") (P.sub ctx a b)
+                      (Ckks.Reference.Poly.sub ctx a b);
+                    same_poly (tag "neg") (P.neg ctx a)
+                      (Ckks.Reference.Poly.neg ctx a);
+                    (* any integer scalar, negative and beyond q included *)
+                    let scalar pi = ((pi * 7919) - 3) * 1_000_003 in
+                    same_poly (tag "mul_scalar_fn")
+                      (P.mul_scalar_fn ctx a scalar)
+                      (Ckks.Reference.Poly.mul_scalar_fn ctx a scalar);
+                    let gal = Ckks.Keys.galois_element ctx 1 in
+                    same_poly (tag "automorphism")
+                      (P.automorphism ctx a ~g:gal)
+                      (Ckks.Reference.Poly.automorphism ctx a ~g:gal);
+                    if ntt then begin
+                      same_poly (tag "mul") (P.mul ctx a b)
+                        (Ckks.Reference.Poly.mul ctx a b);
+                      let full = if special then level else level - 1 in
+                      if full >= 1 then begin
+                        same_poly (tag "drop_last") (P.drop_last ctx a)
+                          (Ckks.Reference.Poly.drop_last ctx a);
+                        for keep = 1 to full do
+                          same_poly
+                            (tag (Printf.sprintf "drop_last ~keep:%d" keep))
+                            (P.drop_last ~keep ctx a)
+                            (Ckks.Reference.Poly.drop_last ~keep ctx a)
+                        done
+                      end
+                    end)
+                  [ false; true ];
+                (* signed coefficients: sampled ones, then wide ones and
+                   exact multiples of the primes *)
+                let q0 = Ckks.Context.prime ctx 0 in
+                let coeffs =
+                  Array.init n (fun j ->
+                      match j mod 4 with
+                      | 0 -> Fhe_util.Prng.int g 17 - 8
+                      | 1 -> Fhe_util.Prng.int g (1 lsl 40) - (1 lsl 39)
+                      | 2 -> (j - (n / 2)) * q0
+                      | _ -> ((j - (n / 2)) * q0) + (j land 1) - 1)
+                in
+                same_poly (tag "of_coeff_array")
+                  (P.of_coeff_array ctx ~level ~special coeffs)
+                  (Ckks.Reference.Poly.of_coeff_array ctx ~level ~special coeffs))
+              [ false; true ];
+            (* integer-valued floats: random ones up to 2^53, values one
+               off a multiple of each prime (where a float quotient
+               rounds across an integer), the 2^53 boundary and
+               magnitudes only the exact Float.rem path handles *)
+            let fc =
+              Array.init n (fun j ->
+                  let q = Ckks.Context.prime ctx (j mod level) in
+                  let k = Fhe_util.Prng.int g (1 lsl 53 / q) in
+                  let sign = if j land 2 = 0 then 1.0 else -1.0 in
+                  match j mod 8 with
+                  | 0 -> sign *. Float.of_int (Fhe_util.Prng.int g (1 lsl 53))
+                  | 1 -> sign *. Float.of_int ((k * q) - 1)
+                  | 2 -> sign *. Float.of_int (k * q)
+                  | 3 -> sign *. Float.of_int ((k * q) + 1)
+                  | 4 -> sign *. (0x1p53 -. 1.0)
+                  | 5 -> sign *. 0x1p53
+                  | 6 -> sign *. Float.ldexp 1.0 (53 + (j mod 200))
+                  | _ -> if j land 2 = 0 then -0.0 else sign *. 1e9)
+            in
+            same_poly
+              (Printf.sprintf "of_float_coeffs n=%d level=%d -j%d" n level
+                 width)
+              (P.of_float_coeffs ctx ~level fc)
+              (Ckks.Reference.Poly.of_float_coeffs ctx ~level fc)
+          done))
+    kernel_logns
+
+let test_keyswitch_bit_exact () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      let ctx = Ckks.Context.make ~n ~levels:kernel_levels () in
+      let keys = Ckks.Keys.keygen ~rotations:[ 1 ] ctx in
+      let g = Fhe_util.Prng.create (logn + 17) in
+      at_widths ctx (fun width ->
+          for level = 1 to kernel_levels do
+            let x = random_poly g ctx ~level ~special:false ~ntt:true in
+            List.iter
+              (fun (name, sk) ->
+                let b, a = Ckks.Evaluator.key_switch keys x sk in
+                let b', a' = Ckks.Reference.Evaluator.key_switch keys x sk in
+                let tag c =
+                  Printf.sprintf "key_switch %s %s n=%d level=%d -j%d" name c n
+                    level width
+                in
+                same_poly (tag "b") b b';
+                same_poly (tag "a") a a')
+              [ ("relin", Ckks.Keys.relin_key keys);
+                ("galois", Ckks.Keys.galois_key keys 1) ]
+          done))
+    kernel_logns
+
+(* Narrow primes at a large ring degree spread over several bit widths
+   (the chain walks away from 2^level_bits to find enough primes), so
+   centered lifts can exceed the target prime and take the divide: the
+   key-switch lift on a 17-bit chain at n = 2^10, and the rescale lift
+   on a 16-bit chain at n = 2^12 (whose special prime collides with a
+   chain prime, so it is used for rescaling only). *)
+let test_wide_chain_bit_exact () =
+  let levels = 12 in
+  let g = Fhe_util.Prng.create 77 in
+  let ctx = Ckks.Context.make ~n:1024 ~levels ~level_bits:17 () in
+  let keys = Ckks.Keys.keygen ~rotations:[ 1 ] ctx in
+  List.iter
+    (fun level ->
+      let x = random_poly g ctx ~level ~special:false ~ntt:true in
+      List.iter
+        (fun (name, sk) ->
+          let b, a = Ckks.Evaluator.key_switch keys x sk in
+          let b', a' = Ckks.Reference.Evaluator.key_switch keys x sk in
+          let tag c =
+            Printf.sprintf "wide key_switch %s %s level=%d" name c level
+          in
+          same_poly (tag "b") b b';
+          same_poly (tag "a") a a')
+        [ ("relin", Ckks.Keys.relin_key keys);
+          ("galois", Ckks.Keys.galois_key keys 1) ])
+    [ 1; 2; 6; levels ];
+  let ctx = Ckks.Context.make ~n:4096 ~levels ~level_bits:16 () in
+  List.iter
+    (fun level ->
+      let p = random_poly g ctx ~level ~special:false ~ntt:true in
+      same_poly
+        (Printf.sprintf "wide drop_last level=%d" level)
+        (P.drop_last ctx p) (Ckks.Reference.Poly.drop_last ctx p))
+    [ 2; 7; levels ]
+
+(* the NTT-domain gather against the coefficient-domain map, for every
+   element of the rotation group and for conjugation (g = 2n - 1) *)
+let test_automorphism_ntt_domain () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      let ctx = Ckks.Context.make ~n ~levels:2 () in
+      let g = Fhe_util.Prng.create (logn + 101) in
+      let c = random_poly g ctx ~level:2 ~special:true ~ntt:false in
+      let e = P.to_ntt ctx c in
+      let check gal =
+        same_poly
+          (Printf.sprintf "automorphism n=%d g=%d vs coefficient domain" n gal)
+          (P.automorphism ctx e ~g:gal)
+          (P.to_ntt ctx (P.automorphism ctx c ~g:gal))
+      in
+      Array.iter check (Ckks.Fftc.rot_group ctx.Ckks.Context.fft);
+      check ((2 * n) - 1))
+    kernel_logns
+
+(* In the bounds-checked debug mode (CI runs this tier once with
+   FHE_CKKS_CHECKED=1) every unchecked kernel rejects a row of the
+   wrong length before touching it; otherwise there is nothing to do. *)
+let test_kernel_guards () =
+  if Ckks.Rvec.checked then begin
+    let ctx = Ckks.Context.make ~n:16 ~levels:2 () in
+    let keys = Ckks.Keys.keygen ctx in
+    let g = Fhe_util.Prng.create 3 in
+    let a = random_poly g ctx ~level:2 ~special:true ~ntt:true in
+    let short (p : P.t) =
+      let first_short r v = if r = 0 then Ckks.Rvec.create 8 else v in
+      { p with P.data = Array.mapi first_short p.P.data }
+    in
+    let bad = short a in
+    let rejects what f =
+      match f () with
+      | _ -> Alcotest.failf "%s accepted a short row" what
+      | exception Invalid_argument _ -> ()
+    in
+    rejects "add" (fun () -> P.add ctx a bad);
+    rejects "sub" (fun () -> P.sub ctx bad a);
+    rejects "mul" (fun () -> P.mul ctx a bad);
+    rejects "neg" (fun () -> P.neg ctx bad);
+    rejects "mul_scalar_fn" (fun () -> P.mul_scalar_fn ctx bad (fun _ -> 3));
+    rejects "automorphism" (fun () -> P.automorphism ctx bad ~g:3);
+    rejects "drop_last" (fun () -> P.drop_last ctx bad);
+    let x = random_poly g ctx ~level:2 ~special:false ~ntt:true in
+    let sk = Ckks.Keys.relin_key keys in
+    rejects "key_switch"
+      (fun () ->
+        Ckks.Evaluator.key_switch keys x
+          { sk with Ckks.Keys.kb = Array.map short sk.Ckks.Keys.kb })
+  end
+
+(* median-of-runs ms of [f], interleaved with [g]'s so host drift hits
+   both alike *)
+let paired_medians ~runs f g =
+  ignore (f ());
+  ignore (g ());
+  let tf = Array.make runs 0.0 and tg = Array.make runs 0.0 in
+  for i = 0 to runs - 1 do
+    tf.(i) <- snd (Fhe_util.Timer.time f);
+    tg.(i) <- snd (Fhe_util.Timer.time g)
+  done;
+  Array.sort compare tf;
+  Array.sort compare tg;
+  (tf.(runs / 2), tg.(runs / 2))
+
+let test_keyswitch_speedup () =
+  let n = 1024 and levels = 12 in
+  let ctx = Ckks.Context.make ~n ~levels () in
+  let keys = Ckks.Keys.keygen ctx in
+  let sk = Ckks.Keys.relin_key keys in
+  let x =
+    random_poly (Fhe_util.Prng.create 9) ctx ~level:levels ~special:false
+      ~ntt:true
+  in
+  let t_ref, t_opt =
+    paired_medians ~runs:9
+      (fun () -> Ckks.Reference.Evaluator.key_switch keys x sk)
+      (fun () -> Ckks.Evaluator.key_switch keys x sk)
+  in
+  let speedup = t_ref /. t_opt in
+  if speedup < 1.3 then
+    Alcotest.failf
+      "optimized key_switch only %.2fx over Reference at n=%d, L=%d (want \
+       >= 1.3x): %.3f ms vs %.3f ms"
+      speedup n levels t_opt t_ref
 
 (* ------------------------------------------------------------------ *)
 (* 8 apps x 5 compilers: decrypt-precision pins on the real backend *)
@@ -248,6 +537,23 @@ let suite =
       "10 apps x 5 compilers precision pins (unlimited + tight mem budget)"
       `Slow test_precision_pins;
     Alcotest.test_case "pool width 1 vs 4 bit-identical" `Slow
-      test_pool_byte_identity ]
+      test_pool_byte_identity;
+    Alcotest.test_case
+      "Poly kernels bit-exact vs Reference (levels 1..4, +/-special, \
+       2^4..2^12, -j1/-j4)"
+      `Slow test_poly_kernels_bit_exact;
+    Alcotest.test_case
+      "key_switch bit-exact vs Reference (levels 1..4, 2^4..2^12, -j1/-j4)"
+      `Slow test_keyswitch_bit_exact;
+    Alcotest.test_case
+      "key_switch and drop_last bit-exact on wide 16/17-bit chains" `Slow
+      test_wide_chain_bit_exact;
+    Alcotest.test_case
+      "NTT-domain automorphism = coefficient domain (rotation group, 2n-1)"
+      `Slow test_automorphism_ntt_domain;
+    Alcotest.test_case "key_switch optimized >= 1.3x Reference at 2^10, L=12"
+      `Slow test_keyswitch_speedup;
+    Alcotest.test_case "kernel guards reject short rows (FHE_CKKS_CHECKED=1)"
+      `Quick test_kernel_guards ]
 
 let () = Alcotest.run "fhe-exec" [ ("exec", suite) ]
