@@ -598,7 +598,8 @@ let exec_cmd =
                    Printf.eprintf
                      "mem: peak ct %d B (program order %d B, no-free %d B, \
                       %s) | peak keys %d B | key gens %d evictions %d | \
-                      spills %d reloads %d recomputes %d | arena reuses %d\n"
+                      spills %d reloads %d recomputes %d | arena reuses %d \
+                      | hoisted rotations %d\n"
                      mem.Ckks.Backend.peak_ct_bytes
                      mem.Ckks.Backend.order_ct_bytes
                      mem.Ckks.Backend.resident_ct_bytes
@@ -608,7 +609,8 @@ let exec_cmd =
                      mem.Ckks.Backend.key_gens mem.Ckks.Backend.key_evictions
                      mem.Ckks.Backend.ct_spills mem.Ckks.Backend.ct_reloads
                      mem.Ckks.Backend.ct_recomputes
-                     mem.Ckks.Backend.arena_reuses;
+                     mem.Ckks.Backend.arena_reuses
+                     mem.Ckks.Backend.hoisted_rotations;
                    Ok ())))))
   in
   Cmd.v

@@ -12,6 +12,7 @@ type mem_stats = {
   ct_reloads : int;
   ct_recomputes : int;
   arena_reuses : int;
+  hoisted_rotations : int;
   reordered : bool;
 }
 
@@ -23,15 +24,6 @@ type stats = {
   output_levels : int array;
   mem : mem_stats;
 }
-
-let pad n a =
-  let out = Array.make n 0.0 in
-  Array.blit a 0 out 0 (min n (Array.length a));
-  out
-
-let rotl a k =
-  let n = Array.length a in
-  Array.init n (fun i -> a.((i + k) mod n))
 
 (* Fusion plan for the Modswitch∘Rescale peephole: a Rescale consumed
    exactly once, by a Modswitch, and not itself an output, is deferred —
@@ -84,6 +76,19 @@ let storage_roots (p : Program.t) deferred =
       | _ -> ())
     p;
   root
+
+(* Hoisting plan: the storage root a nonzero cipher rotation reads, or
+   -1 for every other op.  Rotations of one root share the key-switch
+   decomposition of its c1 (see [exec]). *)
+let rotation_sources (p : Program.t) root =
+  let nh = Program.n_slots p in
+  Array.init (Program.n_ops p) (fun i ->
+      match Program.kind p i with
+      | Op.Rotate (a, s)
+        when Program.vtype p a = Op.Cipher && Fhe_util.Bits.pos_rem s nh <> 0
+        ->
+          root.(a)
+      | _ -> -1)
 
 (* Unique token for this process, used to key spill entries so runs
    sharing a spill directory (even across processes) cannot read each
@@ -224,9 +229,41 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
     drop use_pos.(r)
   in
 
+  (* ---- hoisted rotations ----
+     A root rotated at least twice is decomposed once: its first
+     rotation builds the entry, later ones reuse it, and the last one
+     returns its rows to the arena.  The entry owns its rows, so
+     spilling or freeing the source cannot corrupt it, and a rotation
+     recomputed after the entry is gone takes [Evaluator.rotate] — the
+     same kernels with a group of one, hence the same bits.  Entries
+     are kernel scratch like the key switch's temporaries: not counted
+     in [peak_ct_bytes]. *)
+  let rot_src = rotation_sources p root in
+  let rot_total = Array.make n 0 in
+  Array.iter
+    (fun r -> if r >= 0 then rot_total.(r) <- rot_total.(r) + 1)
+    rot_src;
+  let rots_left = Array.copy rot_total in
+  let hoists : (int, Evaluator.hoisted) Hashtbl.t = Hashtbl.create 8 in
+  let hoisted_rotations = ref 0 in
+  (* after the main loop executes rotation [i]: retire its group entry
+     with the root's last rotation *)
+  let rotation_done i =
+    let r = rot_src.(i) in
+    if r >= 0 then begin
+      rots_left.(r) <- rots_left.(r) - 1;
+      if rots_left.(r) = 0 then
+        match Hashtbl.find_opt hoists r with
+        | Some h ->
+            Evaluator.release_hoisted keys h;
+            Hashtbl.remove hoists r
+        | None -> ()
+    end
+  in
+
   let find name =
     match List.assoc_opt name inputs with
-    | Some v -> pad nh v
+    | Some v -> Slots.pad nh v
     | None -> invalid_arg (Printf.sprintf "Backend: missing input %S" name)
   in
   let pow2 b = Fhe_util.Bits.pow2f b in
@@ -315,7 +352,7 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
               (plain a)
         | false, false -> invalid_arg "Backend: plain op in compute_ct")
     | Op.Neg a -> Evaluator.neg keys (force_ct a)
-    | Op.Rotate (a, steps) -> Evaluator.rotate keys (force_ct a) steps
+    | Op.Rotate (a, steps) -> rotate a steps
     | Op.Rescale a -> Evaluator.rescale keys (force_ct a)
     | Op.Modswitch a ->
         if deferred.(a) then begin
@@ -327,17 +364,29 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
     | Op.Upscale (a, bits) -> Evaluator.upscale keys (force_ct a) bits
     | Op.Input { vt = Op.Plain; _ } | Op.Const _ | Op.Vconst _ ->
         invalid_arg "Backend: plain op in compute_ct"
+  and rotate a steps =
+    let r = root.(a) in
+    let src = force_ct a in
+    (* the group's first rotation builds the entry *)
+    if rot_total.(r) >= 2 && rots_left.(r) = rot_total.(r)
+       && not (Hashtbl.mem hoists r)
+    then Hashtbl.replace hoists r (Evaluator.hoist keys src);
+    match Hashtbl.find_opt hoists r with
+    | Some h ->
+        incr hoisted_rotations;
+        Evaluator.rotate_hoisted keys h src steps
+    | None -> Evaluator.rotate keys src steps
   in
   let compute_plain i k =
     match k with
     | Op.Input { name; _ } -> find name
     | Op.Const c -> Array.make nh c
-    | Op.Vconst { values; _ } -> pad nh values
+    | Op.Vconst { values; _ } -> Slots.pad nh values
     | Op.Add (a, b) -> Array.init nh (fun j -> (plain a).(j) +. (plain b).(j))
     | Op.Sub (a, b) -> Array.init nh (fun j -> (plain a).(j) -. (plain b).(j))
     | Op.Mul (a, b) -> Array.init nh (fun j -> (plain a).(j) *. (plain b).(j))
     | Op.Neg a -> Array.map (fun x -> -.x) (plain a)
-    | Op.Rotate (a, k) -> rotl (plain a) k
+    | Op.Rotate (a, k) -> Slots.rotl (plain a) k
     | Op.Rescale _ | Op.Modswitch _ | Op.Upscale _ ->
         ignore i;
         invalid_arg "Backend: alias op in compute_plain"
@@ -388,9 +437,11 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
             rotation by zero — the value lives at its root; executing
             it is a no-op *)
          ()
-       else if Program.vtype p i = Op.Cipher then
+       else if Program.vtype p i = Op.Cipher then begin
          let ct = compute_ct i k in
-         install i ct
+         install i ct;
+         rotation_done i
+       end
        else slots.(i) <- Pl (compute_plain i k));
       (if sched then
          List.iter
@@ -410,6 +461,8 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
     (Int64.to_float (Int64.sub (Fhe_util.Timer.now_ns ()) t_eval0) /. 1e6)
     -. !encrypt_ms
   in
+  (* every group retired with its last rotation *)
+  assert (Hashtbl.length hoists = 0);
 
   (* ---- outputs ---- *)
   let outputs = Program.outputs p in
@@ -456,6 +509,7 @@ let exec ?(sched = true) ?mem_budget ?key_budget ?spill_dir ?spill_fault
         (match ctx.Context.arena with
         | Some a -> Arena.reuses a - arena_reuses0
         | None -> 0);
+      hoisted_rotations = !hoisted_rotations;
       reordered = plan.Fhe_sched.Schedule.reordered }
   in
   (decrypted, !encrypt_ms, eval_ms, decrypt_ms, output_levels, mem)

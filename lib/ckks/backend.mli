@@ -12,8 +12,13 @@ open Fhe_ir
 
     A [Rescale] whose only consumer is a [Modswitch] executes as the
     fused {!Evaluator.rescale_modswitch} (same results, one RNS
-    division pass).  Passing [?pool] fans per-prime limb work across
-    the domains; outputs are bit-identical at every width.
+    division pass).  Rotations of one ciphertext share one key-switch
+    decomposition: a root with at least two nonzero rotations is
+    {!Evaluator.hoist}ed at its first rotation, every rotation of it
+    runs {!Evaluator.rotate_hoisted}, and the decomposition returns to
+    the arena after the last (same bits as per-op
+    {!Evaluator.rotate}).  Passing [?pool] fans per-prime limb work
+    across the domains; outputs are bit-identical at every width.
 
     {2 Memory-scalable execution (DESIGN.md §11)}
 
@@ -52,6 +57,9 @@ type mem_stats = {
   ct_reloads : int;
   ct_recomputes : int;  (** demand recomputations (lost/poisoned spills) *)
   arena_reuses : int;  (** row allocations served by the freelist *)
+  hoisted_rotations : int;
+      (** rotations served from a decomposition shared with other
+          rotations of the same ciphertext (see [exec]'s peephole) *)
   reordered : bool;  (** false = the schedule is program order *)
 }
 

@@ -22,8 +22,21 @@ let make ~n ~levels ?(level_bits = 28) () =
     Array.of_list (Primes.ntt_prime_chain ~n ~bits:level_bits ~count:levels)
   in
   let special =
-    (* one extra bit: the special prime must dominate the chain primes *)
-    List.hd (Primes.ntt_prime_chain ~n ~bits:(level_bits + 1) ~count:1)
+    (* one extra bit, so the special prime dominates the chain primes —
+       but a narrow chain at a large n walks up into that width, so take
+       the first candidate the chain does not already hold (a chain
+       prime as the special one would leave the key switch dividing by
+       zero mod itself) *)
+    let rec first_free count =
+      match
+        List.find_opt
+          (fun p -> not (Array.mem p primes))
+          (Primes.ntt_prime_chain ~n ~bits:(level_bits + 1) ~count)
+      with
+      | Some p -> p
+      | None -> first_free (count + 1)
+    in
+    first_free 1
   in
   { n;
     levels;

@@ -27,8 +27,11 @@ type t = {
 }
 
 val make : n:int -> levels:int -> ?level_bits:int -> unit -> t
-(** Build a context ([level_bits] defaults to 28; the special prime gets
-    [level_bits + 1] bits so it dominates every chain prime).
+(** Build a context ([level_bits] defaults to 28; the special prime is
+    the first [level_bits + 1]-bit NTT prime candidate that is not in
+    the chain, so it is distinct from every chain prime and, except
+    where a narrow chain at a large [n] spreads that wide, dominates
+    them).
     @raise Invalid_argument for invalid sizes. *)
 
 val plan : t -> int -> Ntt.plan

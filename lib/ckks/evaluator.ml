@@ -110,65 +110,98 @@ let sub_plain (k : Keys.t) a values =
 
 module A1 = Bigarray.Array1
 
-(* Σ_j [x]_{q_j} · ksk_j, then divide by the special prime: returns the
-   (b, a) pair adding [x·target] under the secret key.
+(* Key switching: Σ_j [x]_{q_j} · ksk_j, then divide by the special
+   prime, giving the (b, a) pair that adds [x·target] under the secret
+   key.  Two kernels, both fanned across the pool when one is attached.
 
-   Two phases, both fanned across the pool when one is attached:
-   phase 1 brings each digit row to coefficient form (one inverse NTT
-   per digit); phase 2 owns one output row each — for every digit it
-   base-extends the coefficients into that row's prime, forward-
-   transforms once, and multiply-accumulates against {e both} key
-   polynomials, so the lifted transform is shared between the b and a
-   accumulators.  Digit j on its own row r = j needs no lift at all:
-   it is row j of [x], already in NTT form, so L of the L·(L+1)
-   forward transforms are skipped.  Digits accumulate in fixed order
-   with exact modular adds, so the result is width-independent.
+   [decompose] makes the lifted digits: digit j of [x] in coefficient
+   form (one inverse NTT each), raised by its centered lift into every
+   row r of the extended basis and forward-transformed there.  Row j of
+   digit j is a copy of row j of [x], already in NTT form, so L of the
+   L·(L+1) forward transforms are skipped.  The lift has |c| <= q_j/2
+   < q_r for primes of equal width: one conditional add of q_r, no
+   divide, unless the chain is wider than the target prime.
 
-   The inner loops call nothing (see the note in poly.ml): the centered
-   lift of a chain digit has |c| <= q_j/2 < q_r for primes of equal
-   width (one conditional add of q_r, no divide), and the Barrett
+   [accumulate] multiply-accumulates the digits against both key
+   polynomials, one output row per task, then mods the special prime
+   down.  It reads digit cell [perm.{i}] for output cell i: the
+   identity for relinearization, the Galois gather for a rotation.  The
+   centered lift commutes with negation for odd primes and the
+   NTT-domain automorphism is an exact gather, so accumulating the
+   permuted digits of [c1] is bit for bit the key switch of
+   [automorphism c1] — which lets one decomposition serve every
+   rotation of a ciphertext (hoisting).  Digits accumulate in fixed
+   order with exact modular adds, so the result is width-independent.
+
+   The inner loops call nothing (see the note in poly.ml); the Barrett
    product is inlined with its remainder in [0, 3q) folded into the
    accumulator, so one [0, 4q) sum takes two branchless subtractions. *)
-let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
-  let ctx = k.Keys.ctx in
+
+type hoisted = Poly.t array
+
+let decompose (ctx : Context.t) (x : Poly.t) : hoisted =
   let n = ctx.Context.n in
   let level = x.Poly.level in
-  let digits = Array.init level (fun j -> Rvec.copy x.Poly.data.(j)) in
-  Context.par_rows ctx level (fun j ->
-      Ntt.inverse (Context.plan ctx j) digits.(j));
-  let acc_b = Poly.zero ctx ~level ~special:true ~ntt:true in
-  let acc_a = Poly.zero ctx ~level ~special:true ~ntt:true in
+  let coeffs = Poly.alloc ctx ~level ~special:false ~ntt:false in
+  Array.iteri (fun j row -> Rvec.blit x.Poly.data.(j) row) coeffs.Poly.data;
+  let digits =
+    Array.init level (fun _ -> Poly.alloc ctx ~level ~special:true ~ntt:true)
+  in
   if Rvec.checked then
-    Poly.guard ctx "Evaluator.key_switch"
-      (x :: acc_b :: acc_a
-       :: (Array.to_list sk.Keys.kb @ Array.to_list sk.Keys.ka));
-  let nrows = level + 1 in
-  Context.par_rows ctx nrows (fun r ->
+    Poly.guard ctx "Evaluator.decompose" (x :: coeffs :: Array.to_list digits);
+  Context.par_rows ctx level (fun j ->
+      Ntt.inverse (Context.plan ctx j) coeffs.Poly.data.(j));
+  Context.par_rows ctx (level + 1) (fun r ->
       let pi = if r < level then r else ctx.Context.levels in
       let plan = Context.plan ctx pi in
-      let { Modarith.Barrett.p = q; mu; s1; s2 } = Ntt.barrett plan in
+      let q = Context.prime ctx pi in
+      for j = 0 to level - 1 do
+        let dst = digits.(j).Poly.data.(r) in
+        if j = r then Rvec.blit x.Poly.data.(j) dst
+        else begin
+          let qj = Context.prime ctx j in
+          let half = qj / 2 in
+          (* a chain wider than the target prime takes the divide *)
+          let wide = half >= q in
+          let src = coeffs.Poly.data.(j) in
+          for i = 0 to n - 1 do
+            let c = A1.unsafe_get src i in
+            let c = c - (qj land ((half - c) asr 62)) in
+            let c = if wide then c mod q else c in
+            A1.unsafe_set dst i (c + (q land (c asr 62)))
+          done;
+          Ntt.forward plan dst
+        end
+      done);
+  Poly.release ctx coeffs;
+  digits
+
+let accumulate (k : Keys.t) ?perm (digits : hoisted) (sk : Keys.switch_key) =
+  let ctx = k.Keys.ctx in
+  let n = ctx.Context.n in
+  let level = Array.length digits in
+  let acc_b = Poly.zero ctx ~level ~special:true ~ntt:true in
+  let acc_a = Poly.zero ctx ~level ~special:true ~ntt:true in
+  (* without a permutation [perm] is any row: it is never read *)
+  let gather, (perm : Rvec.t) =
+    match perm with
+    | Some p -> (true, p)
+    | None -> (false, acc_b.Poly.data.(0))
+  in
+  if Rvec.checked then
+    Poly.guard ctx "Evaluator.accumulate"
+      (acc_b :: acc_a
+       :: (Array.to_list digits @ Array.to_list sk.Keys.kb
+          @ Array.to_list sk.Keys.ka));
+  Context.par_rows ctx (level + 1) (fun r ->
+      let pi = if r < level then r else ctx.Context.levels in
+      let { Modarith.Barrett.p = q; mu; s1; s2 } =
+        Ntt.barrett (Context.plan ctx pi)
+      in
       let two_q = 2 * q in
       let rb = acc_b.Poly.data.(r) and ra = acc_a.Poly.data.(r) in
-      let tmp = A1.create Bigarray.int Bigarray.c_layout n in
       for j = 0 to level - 1 do
-        let lifted =
-          if j = r then x.Poly.data.(j)
-          else begin
-            let qj = Context.prime ctx j in
-            let half = qj / 2 in
-            (* a chain wider than the target prime takes the divide *)
-            let wide = half >= q in
-            let dj = digits.(j) in
-            for i = 0 to n - 1 do
-              let c = A1.unsafe_get dj i in
-              let c = c - (qj land ((half - c) asr 62)) in
-              let c = if wide then c mod q else c in
-              A1.unsafe_set tmp i (c + (q land (c asr 62)))
-            done;
-            Ntt.forward plan tmp;
-            tmp
-          end
-        in
+        let dj = digits.(j).Poly.data.(r) in
         (* key rows: keys live in the full (levels, special) basis, so
            chain row r aligns with key row r and the special row with
            the key's last row *)
@@ -176,7 +209,9 @@ let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
         let key_row p = p.Poly.data.(if r < level then r else Poly.rows p - 1) in
         let kb = key_row kb_j and ka = key_row ka_j in
         for i = 0 to n - 1 do
-          let d = A1.unsafe_get lifted i in
+          let d =
+            A1.unsafe_get dj (if gather then A1.unsafe_get perm i else i)
+          in
           let xb = d * A1.unsafe_get kb i in
           let xb = xb - ((((xb lsr s1) * mu) lsr s2) * q) in
           let s = A1.unsafe_get rb i + xb - two_q in
@@ -189,7 +224,19 @@ let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
           A1.unsafe_set ra i (s + (q land (s asr 62)))
         done
       done);
-  (Poly.drop_last ctx acc_b, Poly.drop_last ctx acc_a)
+  let b = Poly.drop_last ctx acc_b and a = Poly.drop_last ctx acc_a in
+  Poly.release ctx acc_b;
+  Poly.release ctx acc_a;
+  (b, a)
+
+let release_hoisted (k : Keys.t) (h : hoisted) =
+  Array.iter (Poly.release k.Keys.ctx) h
+
+let key_switch (k : Keys.t) x (sk : Keys.switch_key) =
+  let digits = decompose k.Keys.ctx x in
+  let ba = accumulate k digits sk in
+  release_hoisted k digits;
+  ba
 
 let mul (k : Keys.t) a b =
   if a.level <> b.level then invalid_arg "Evaluator.mul: level mismatch";
@@ -254,16 +301,31 @@ let upscale (k : Keys.t) a bits =
     c1 = Poly.mul_scalar_fn ctx a.c1 factor;
     scale = a.scale *. Fhe_util.Bits.pow2f bits }
 
-let rotate (k : Keys.t) a steps =
+let hoist (k : Keys.t) a = decompose k.Keys.ctx a.c1
+
+let rotate_hoisted (k : Keys.t) (h : hoisted) a steps =
   let ctx = k.Keys.ctx in
-  let nh = Context.slot_count ctx in
-  let steps = Fhe_util.Bits.pos_rem steps nh in
+  let steps = Fhe_util.Bits.pos_rem steps (Context.slot_count ctx) in
   if steps = 0 then a
   else begin
+    if Array.length h <> a.level then
+      invalid_arg "Evaluator.rotate_hoisted: decomposition at another level";
     let g = Keys.galois_element ctx steps in
+    let perm = Poly.galois_index ctx ~g in
+    let kb, ka = accumulate k ~perm h (Keys.galois_key k steps) in
+    Context.release_row ctx perm;
     let c0g = Poly.automorphism ctx a.c0 ~g in
-    let c1g = Poly.automorphism ctx a.c1 ~g in
-    let gk = Keys.galois_key k steps in
-    let kb, ka = key_switch k c1g gk in
-    { a with c0 = Poly.add ctx c0g kb; c1 = ka }
+    let c0 = Poly.add ctx c0g kb in
+    Poly.release ctx c0g;
+    Poly.release ctx kb;
+    { a with c0; c1 = ka }
+  end
+
+let rotate (k : Keys.t) a steps =
+  if Fhe_util.Bits.pos_rem steps (Context.slot_count k.Keys.ctx) = 0 then a
+  else begin
+    let h = hoist k a in
+    let r = rotate_hoisted k h a steps in
+    release_hoisted k h;
+    r
   end

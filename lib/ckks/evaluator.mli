@@ -69,7 +69,34 @@ val upscale : Keys.t -> ct -> int -> ct
 
 val rotate : Keys.t -> ct -> int -> ct
 (** Rotate slots left by [k] (Galois automorphism + key switch); the
-    Galois key is generated on demand if missing. *)
+    Galois key is generated on demand if missing.  Rotation by a
+    multiple of the slot count returns the input.  [rotate keys a k]
+    is [rotate_hoisted keys (hoist keys a) a k] with the decomposition
+    released afterwards: the same kernels, for a group of one. *)
+
+type hoisted
+(** The key-switch decomposition of a ciphertext's [c1]: each digit
+    [\[c1\]_{q_j}] lifted into every row of the extended basis, in NTT
+    form — [L·(L+1)] rows at level [L].  It owns its rows (copies, not
+    views of [c1]), which come from the context's arena. *)
+
+val hoist : Keys.t -> ct -> hoisted
+(** [hoist k a] decomposes [a.c1] once: [L] inverse and [L·L] forward
+    NTTs, about two thirds of a rotation's cost. *)
+
+val rotate_hoisted : Keys.t -> hoisted -> ct -> int -> ct
+(** [rotate_hoisted k (hoist k a) a s] is bit for bit [rotate k a s],
+    but costs only the multiply-accumulate against the Galois key
+    (read through the NTT-domain Galois gather) and the special-prime
+    mod-down: the lift commutes with the automorphism, so every
+    rotation of [a] can share one decomposition.  The hoisted value
+    must come from [a] itself (its level is checked, its contents
+    cannot be).
+    @raise Invalid_argument when [h] was made at another level. *)
+
+val release_hoisted : Keys.t -> hoisted -> unit
+(** Return a decomposition's rows to the context's arena (no-op without
+    one).  It must not be used afterwards. *)
 
 val scale_mismatch_tolerance : float
 (** Maximum relative operand-scale mismatch [add] accepts (the RNS prime
@@ -80,4 +107,5 @@ val key_switch : Keys.t -> Poly.t -> Keys.switch_key -> Poly.t * Poly.t
     form, with [b + a·s ≈ x·target] where [sk] switches [target] onto
     the secret [s]: decompose [x] by chain prime, multiply-accumulate
     the digits against [sk] in the extended basis, divide by the
-    special prime.  The core of relinearization and rotation. *)
+    special prime.  The core of relinearization; rotation runs the same
+    two kernels through {!hoist} and {!rotate_hoisted}. *)

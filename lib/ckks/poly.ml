@@ -280,6 +280,24 @@ let drop_last ?keep (ctx : Context.t) t =
       done);
   out
 
+(* Slot i of an NTT-form row holds the evaluation at ψ^(2·bitrev(i)+1),
+   and X ↦ X^g moves the evaluation at ψ^e to ψ^(e·g): slot i of the
+   image is the input slot at exponent (2·bitrev(i)+1)·g mod 2n.  The
+   index lives in a context row, not an OCaml array: a fresh n-word
+   array per rotation lands in the major heap and grows it. *)
+let galois_index (ctx : Context.t) ~g =
+  let n = ctx.Context.n in
+  let mask = (2 * n) - 1 in
+  let brv = ctx.Context.bitrev in
+  let idx = Context.alloc_row_raw ctx in
+  if Rvec.checked && A1.dim idx <> n then
+    invalid_arg "Poly.galois_index: row length does not match n";
+  for i = 0 to n - 1 do
+    let e = (((2 * Array.unsafe_get brv i) + 1) * g) land mask in
+    A1.unsafe_set idx i (Array.unsafe_get brv (e lsr 1))
+  done;
+  idx
+
 let automorphism (ctx : Context.t) t ~g =
   let n = ctx.Context.n in
   if g land 1 = 0 then invalid_arg "Poly.automorphism: g must be odd";
@@ -287,18 +305,16 @@ let automorphism (ctx : Context.t) t ~g =
   let out = alloc ctx ~level:t.level ~special:t.special ~ntt:t.ntt in
   guard ctx "Poly.automorphism" [ t; out ];
   if t.ntt then begin
-    (* Slot i holds the evaluation at ψ^(2·bitrev(i)+1), and X ↦ X^g
-       moves the evaluation at ψ^e to ψ^(e·g): slot i of the image is
-       the input slot at exponent (2·bitrev(i)+1)·g mod 2n — a gather,
-       no transforms and no arithmetic on the residues. *)
-    let brv = ctx.Context.bitrev in
+    (* a gather through [galois_index]: no transforms and no arithmetic
+       on the residues *)
+    let idx = galois_index ctx ~g in
     for r = 0 to rows t - 1 do
       let src = t.data.(r) and dst = out.data.(r) in
       for i = 0 to n - 1 do
-        let e = (((2 * Array.unsafe_get brv i) + 1) * g) land mask in
-        A1.unsafe_set dst i (A1.unsafe_get src (Array.unsafe_get brv (e lsr 1)))
+        A1.unsafe_set dst i (A1.unsafe_get src (A1.unsafe_get idx i))
       done
-    done
+    done;
+    Context.release_row ctx idx
   end
   else
     (* coefficient j moves to j·g mod 2n, negated past n (X^n = -1);

@@ -33,6 +33,10 @@ val prime_index : Context.t -> t -> int -> int
 
 val zero : Context.t -> level:int -> special:bool -> ntt:bool -> t
 
+val alloc : Context.t -> level:int -> special:bool -> ntt:bool -> t
+(** Like {!zero}, but the rows' contents are unspecified: for kernels
+    that write every cell.  Driver-domain only, like all allocation. *)
+
 val copy : t -> t
 
 val release : Context.t -> t -> unit
@@ -82,7 +86,14 @@ val drop_last : ?keep:int -> Context.t -> t -> t
 val automorphism : Context.t -> t -> g:int -> t
 (** Apply the Galois map [X ↦ X^g] ([g] odd, mod [2n]); any form, result
     in the same form as the input.  In NTT form this is a pure index
-    permutation of each row (no transforms). *)
+    permutation of each row (no transforms): {!galois_index}. *)
+
+val galois_index : Context.t -> g:int -> Rvec.t
+(** The NTT-domain gather of [X ↦ X^g]: cell [i] of the image of an
+    NTT-form row is cell [idx.{i}] of the input, where [idx] is the
+    result, that is [bitrev (((2·bitrev i + 1)·g mod 2n) / 2)].  The row
+    comes from the context's arena (driver domain only); give it back
+    with {!Context.release_row}. *)
 
 val equal_basis : t -> t -> bool
 

@@ -2,16 +2,6 @@ open Fhe_ir
 
 type value = { data : float array; err : float }
 
-let pad n a =
-  let len = Array.length a in
-  if len > n then invalid_arg "Interp: input vector longer than slot count";
-  if len = n then Array.copy a
-  else begin
-    let out = Array.make n 0.0 in
-    Array.blit a 0 out 0 len;
-    out
-  end
-
 let find_input inputs name =
   match List.assoc_opt name inputs with
   | Some v -> v
@@ -20,10 +10,6 @@ let find_input inputs name =
 let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
 
 let map2 f a b = Array.init (Array.length a) (fun i -> f a.(i) b.(i))
-
-let rotl a k =
-  let n = Array.length a in
-  Array.init n (fun i -> a.((i + k) mod n))
 
 let run ?(noise = Noise.default) (m : Managed.t) ~inputs =
   let p = m.Managed.prog in
@@ -39,7 +25,7 @@ let run ?(noise = Noise.default) (m : Managed.t) ~inputs =
     (fun i k ->
       (match k with
       | Op.Input { name; vt } ->
-          data.(i) <- pad n_slots (find_input inputs name);
+          data.(i) <- Slots.pad n_slots (find_input inputs name);
           err.(i) <-
             (match vt with
             | Op.Cipher -> contrib noise.Noise.fresh_bits i
@@ -48,7 +34,7 @@ let run ?(noise = Noise.default) (m : Managed.t) ~inputs =
           data.(i) <- Array.make n_slots c;
           err.(i) <- contrib noise.Noise.fresh_bits i
       | Op.Vconst { values; _ } ->
-          data.(i) <- pad n_slots values;
+          data.(i) <- Slots.pad n_slots values;
           err.(i) <- contrib noise.Noise.fresh_bits i
       | Op.Add (a, b) ->
           data.(i) <- map2 ( +. ) data.(a) data.(b);
@@ -70,7 +56,7 @@ let run ?(noise = Noise.default) (m : Managed.t) ~inputs =
           data.(i) <- Array.map (fun x -> -.x) data.(a);
           err.(i) <- err.(a)
       | Op.Rotate (a, k) ->
-          data.(i) <- rotl data.(a) k;
+          data.(i) <- Slots.rotl data.(a) k;
           err.(i) <-
             err.(a)
             +.
@@ -114,14 +100,15 @@ let run_reference p ~inputs =
   Program.iteri
     (fun i k ->
       (match k with
-      | Op.Input { name; _ } -> data.(i) <- pad n_slots (find_input inputs name)
+      | Op.Input { name; _ } ->
+          data.(i) <- Slots.pad n_slots (find_input inputs name)
       | Op.Const c -> data.(i) <- Array.make n_slots c
-      | Op.Vconst { values; _ } -> data.(i) <- pad n_slots values
+      | Op.Vconst { values; _ } -> data.(i) <- Slots.pad n_slots values
       | Op.Add (a, b) -> data.(i) <- map2 ( +. ) data.(a) data.(b)
       | Op.Sub (a, b) -> data.(i) <- map2 ( -. ) data.(a) data.(b)
       | Op.Mul (a, b) -> data.(i) <- map2 ( *. ) data.(a) data.(b)
       | Op.Neg a -> data.(i) <- Array.map (fun x -> -.x) data.(a)
-      | Op.Rotate (a, k) -> data.(i) <- rotl data.(a) k
+      | Op.Rotate (a, k) -> data.(i) <- Slots.rotl data.(a) k
       | Op.Rescale a | Op.Modswitch a | Op.Upscale (a, _) ->
           data.(i) <- Array.copy data.(a));
       List.iter
@@ -146,14 +133,15 @@ let max_magnitude_bits p ~inputs =
   Program.iteri
     (fun i k ->
       (match k with
-      | Op.Input { name; _ } -> data.(i) <- pad n_slots (find_input inputs name)
+      | Op.Input { name; _ } ->
+          data.(i) <- Slots.pad n_slots (find_input inputs name)
       | Op.Const c -> data.(i) <- Array.make n_slots c
-      | Op.Vconst { values; _ } -> data.(i) <- pad n_slots values
+      | Op.Vconst { values; _ } -> data.(i) <- Slots.pad n_slots values
       | Op.Add (a, b) -> data.(i) <- map2 ( +. ) data.(a) data.(b)
       | Op.Sub (a, b) -> data.(i) <- map2 ( -. ) data.(a) data.(b)
       | Op.Mul (a, b) -> data.(i) <- map2 ( *. ) data.(a) data.(b)
       | Op.Neg a -> data.(i) <- Array.map (fun x -> -.x) data.(a)
-      | Op.Rotate (a, k) -> data.(i) <- rotl data.(a) k
+      | Op.Rotate (a, k) -> data.(i) <- Slots.rotl data.(a) k
       | Op.Rescale a | Op.Modswitch a | Op.Upscale (a, _) ->
           data.(i) <- data.(a));
       worst := Float.max !worst (max_abs data.(i));

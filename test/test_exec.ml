@@ -17,7 +17,14 @@
      compilers execute end-to-end on Ckks.Backend within their pinned
      decrypt-precision bounds;
    - runs are byte-identical at pool widths 1 and 4 (deterministic
-     parallelism of the RNS limb fan-out). *)
+     parallelism of the RNS limb fan-out);
+   - hoisted rotations ([Evaluator.hoist] + [rotate_hoisted]) are
+     bit-exact against the Reference automorphism + key switch, the
+     backend's hoisting peephole decrypts LeNet-5 and MLP bit for bit
+     like a per-op run, and 24 rotations from one hoist are at least
+     2x as fast as 24 per-op rotations at n = 2^10, L = 12;
+   - the special prime is never a chain prime, and plaintext rotation
+     by a negative amount works in Interp and Backend. *)
 
 open Fhe_ir
 module Reg = Fhe_apps.Registry
@@ -526,6 +533,330 @@ let test_pool_byte_identity () =
         seq)
     [ "MLP"; "HCD" ]
 
+(* ------------------------------------------------------------------ *)
+(* Hoisted rotations: one decomposition, many rotations, the bits of
+   the retained Reference key switch after the Reference automorphism *)
+
+module E = Ckks.Evaluator
+
+let same_ct what (got : E.ct) (want : E.ct) =
+  if got.E.level <> want.E.level || got.E.scale <> want.E.scale then
+    Alcotest.failf "%s: level or scale differs" what;
+  same_poly (what ^ " c0") got.E.c0 want.E.c0;
+  same_poly (what ^ " c1") got.E.c1 want.E.c1
+
+let reference_rotate keys (a : E.ct) steps =
+  let ctx = keys.Ckks.Keys.ctx in
+  let g = Ckks.Keys.galois_element ctx steps in
+  let module R = Ckks.Reference in
+  let b, ka =
+    R.Evaluator.key_switch keys
+      (R.Poly.automorphism ctx a.E.c1 ~g)
+      (Ckks.Keys.galois_key keys steps)
+  in
+  { a with E.c0 = R.Poly.add ctx (R.Poly.automorphism ctx a.E.c0 ~g) b;
+    c1 = ka }
+
+let random_ct g ctx ~level =
+  { E.c0 = random_poly g ctx ~level ~special:false ~ntt:true;
+    c1 = random_poly g ctx ~level ~special:false ~ntt:true;
+    level;
+    scale = 1.0 }
+
+(* every rotation-group element while the slot count is small, a spread
+   of steps (negative and past the slot count included) beyond that *)
+let hoist_steps nh =
+  if nh <= 16 then List.init (nh - 1) (fun s -> s + 1)
+  else [ 1; 2; 5; nh / 2; nh - 1; -3; nh + 7 ]
+
+let test_rotate_hoisted_bit_exact () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      let nh = n / 2 in
+      let ctx = Ckks.Context.make ~n ~levels:kernel_levels () in
+      (* recycled rows arrive dirty, so a cell a kernel failed to write
+         would show *)
+      Ckks.Context.set_arena ctx (Some (Ckks.Arena.create ~n));
+      let keys = Ckks.Keys.keygen ctx in
+      let g = Fhe_util.Prng.create (logn + 211) in
+      at_widths ctx (fun width ->
+          for level = 1 to kernel_levels do
+            let a = random_ct g ctx ~level in
+            let h = E.hoist keys a in
+            List.iter
+              (fun s ->
+                let tag what =
+                  Printf.sprintf "%s n=%d level=%d step=%d -j%d" what n level
+                    s width
+                in
+                let want = reference_rotate keys a s in
+                same_ct (tag "rotate_hoisted") (E.rotate_hoisted keys h a s)
+                  want;
+                same_ct (tag "rotate") (E.rotate keys a s) want)
+              (hoist_steps nh);
+            E.release_hoisted keys h
+          done))
+    kernel_logns;
+  (* the deep chain LeNet runs at *)
+  let levels = 12 in
+  let ctx = Ckks.Context.make ~n:1024 ~levels () in
+  let keys = Ckks.Keys.keygen ctx in
+  let g = Fhe_util.Prng.create 5 in
+  List.iter
+    (fun level ->
+      let a = random_ct g ctx ~level in
+      let h = E.hoist keys a in
+      List.iter
+        (fun s ->
+          same_ct
+            (Printf.sprintf "rotate_hoisted n=1024 level=%d step=%d" level s)
+            (E.rotate_hoisted keys h a s) (reference_rotate keys a s))
+        [ 1; 3; 511 ])
+    [ 1; 7; levels ];
+  (* a decomposition from another level is refused *)
+  let a = random_ct g ctx ~level:3 in
+  let h = E.hoist keys (random_ct g ctx ~level:2) in
+  match E.rotate_hoisted keys h a 1 with
+  | _ -> Alcotest.fail "rotate_hoisted accepted a decomposition at level 2"
+  | exception Invalid_argument _ -> ()
+
+(* A program-order, per-op evaluation calling Evaluator.rotate for every
+   rotation: what Backend computes without the hoisting peephole (or the
+   scheduler, the arena and the fused rescale) *)
+let per_op_run keys (m : Managed.t) ~inputs =
+  let p = m.Managed.prog in
+  let nh = Ckks.Context.slot_count keys.Ckks.Keys.ctx in
+  let n = Program.n_ops p in
+  let is_c o = Program.vtype p o = Op.Cipher in
+  let cts = Array.make n None and pls = Array.make n [||] in
+  let c o = Option.get cts.(o) and pl o = pls.(o) in
+  let scale o = Fhe_util.Bits.pow2f m.Managed.scale.(o) in
+  let input name = Slots.pad nh (List.assoc name inputs) in
+  Program.iteri
+    (fun i k ->
+      if not (is_c i) then
+        pls.(i) <-
+          (match k with
+          | Op.Input { name; _ } -> input name
+          | Op.Const x -> Array.make nh x
+          | Op.Vconst { values; _ } -> Slots.pad nh values
+          | Op.Add (a, b) -> Array.map2 ( +. ) (pl a) (pl b)
+          | Op.Sub (a, b) -> Array.map2 ( -. ) (pl a) (pl b)
+          | Op.Mul (a, b) -> Array.map2 ( *. ) (pl a) (pl b)
+          | Op.Neg a -> Array.map Float.neg (pl a)
+          | Op.Rotate (a, s) -> Slots.rotl (pl a) s
+          | Op.Rescale a | Op.Modswitch a | Op.Upscale (a, _) -> pl a)
+      else
+        cts.(i) <-
+          Some
+            (match k with
+            | Op.Input { name; _ } ->
+                E.encrypt_det keys ~tag:i ~level:m.Managed.level.(i)
+                  ~scale:(scale i) (input name)
+            | Op.Add (a, b) when is_c a && is_c b -> E.add keys (c a) (c b)
+            | Op.Add (a, b) when is_c a -> E.add_plain keys (c a) (pl b)
+            | Op.Add (a, b) -> E.add_plain keys (c b) (pl a)
+            | Op.Sub (a, b) when is_c a && is_c b -> E.sub keys (c a) (c b)
+            | Op.Sub (a, b) when is_c a -> E.sub_plain keys (c a) (pl b)
+            | Op.Sub (a, b) -> E.neg keys (E.sub_plain keys (c b) (pl a))
+            | Op.Mul (a, b) when is_c a && is_c b -> E.mul keys (c a) (c b)
+            | Op.Mul (a, b) when is_c a ->
+                E.mul_plain keys (c a) ~scale:(scale b) (pl b)
+            | Op.Mul (a, b) -> E.mul_plain keys (c b) ~scale:(scale a) (pl a)
+            | Op.Neg a -> E.neg keys (c a)
+            | Op.Rotate (a, s) -> E.rotate keys (c a) s
+            | Op.Rescale a -> E.rescale keys (c a)
+            | Op.Modswitch a -> E.modswitch keys (c a)
+            | Op.Upscale (a, bits) -> E.upscale keys (c a) bits
+            | Op.Const _ | Op.Vconst _ -> assert false))
+    p;
+  Array.map
+    (fun o -> if is_c o then E.decrypt keys (c o) else pl o)
+    (Program.outputs p)
+
+let bitwise_equal what want got =
+  Array.iteri
+    (fun o s ->
+      Array.iteri
+        (fun j x ->
+          if
+            not
+              (Int64.equal (Int64.bits_of_float x)
+                 (Int64.bits_of_float got.(o).(j)))
+          then
+            Alcotest.failf "%s output %d slot %d: per-op %h vs backend %h"
+              what o j x got.(o).(j))
+        s)
+    want
+
+(* Lenet-5's conv taps and MLP's rotate-and-sum groups run hoisted in the
+   backend; decrypts must equal the per-op run bit for bit, with and
+   without a spill budget whose lost entries force recomputed rotations
+   after their group's entry is gone.  [exec] asserts that no entry
+   outlives it, so every run returning is that check. *)
+let test_backend_hoisting_bit_identical () =
+  List.iter
+    (fun (name, hoisted) ->
+      let a = Reg.find name in
+      let p = a.Reg.exec_build () in
+      let inputs = a.Reg.exec_inputs ~seed:42 in
+      let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
+      let m = Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p in
+      let ctx =
+        Ckks.Context.make
+          ~n:(2 * Program.n_slots m.Managed.prog)
+          ~levels:(Managed.max_level m) ~level_bits:rbits ()
+      in
+      let keys = Ckks.Keys.keygen ctx in
+      let want = per_op_run keys m ~inputs in
+      bitwise_equal name want (Ckks.Backend.run_with_keys keys m ~inputs);
+      (* recomputing lost spills is exponential in depth at LeNet's 12
+         levels under this budget: MLP takes that part alone *)
+      if name = "MLP" then
+        bitwise_equal (name ^ " all spills lost") want
+          (Ckks.Backend.run_with_keys ~mem_budget:tight_ct_budget
+             ~key_budget:roomy_key_budget
+             ~spill_fault:(fun _ -> true)
+             keys m ~inputs);
+      let _, st = Ckks.Backend.run_timed m ~inputs in
+      Alcotest.(check int)
+        (name ^ " rotations served from a shared decomposition")
+        hoisted st.Ckks.Backend.mem.Ckks.Backend.hoisted_rotations)
+    (* Lenet-5: three conv-tap groups of 24 and six groups of 3; MLP:
+       three 63-way rotate-and-sum groups *)
+    [ ("Lenet-5", 90); ("MLP", 189) ];
+  (* a one-byte budget spills every value as soon as it is made and the
+     fault loses every spill: both rotations of %0 are recomputed after
+     their group's entry is gone, through per-op Evaluator.rotate *)
+  let p =
+    Parser.parse_exn ~n_slots:16
+      "%0 = input x : cipher\n\
+       %1 = rotate %0 1\n\
+       %2 = rotate %0 2\n\
+       %3 = mul %2 %2\n\
+       %4 = mul %1 %1\n\
+       %5 = add %3 %4\n\
+       ret %5\n"
+  in
+  let inputs = [ ("x", Array.init 16 (fun i -> 0.05 *. float_of_int i)) ] in
+  let m = Reserve.Pipeline.compile ~xmax_bits:2 ~rbits ~wbits p in
+  let ctx =
+    Ckks.Context.make ~n:32 ~levels:(Managed.max_level m) ~level_bits:rbits ()
+  in
+  let keys = Ckks.Keys.keygen ctx in
+  bitwise_equal "recomputed rotations" (per_op_run keys m ~inputs)
+    (Ckks.Backend.run_with_keys ~mem_budget:1 ~spill_fault:(fun _ -> true)
+       keys m ~inputs);
+  let _, st =
+    Ckks.Backend.run_timed ~mem_budget:1 ~spill_fault:(fun _ -> true) m
+      ~inputs
+  in
+  let mem = st.Ckks.Backend.mem in
+  (* a rotation recomputed while its group is live reuses the entry *)
+  Alcotest.(check bool) "both rotations hoisted" true
+    (mem.Ckks.Backend.hoisted_rotations >= 2);
+  Alcotest.(check bool) "lost rotations were recomputed" true
+    (mem.Ckks.Backend.ct_recomputes > 0)
+
+let test_hoisting_speedup () =
+  let n = 1024 and levels = 12 and k = 24 in
+  let steps = List.init k (fun s -> s + 1) in
+  let ctx = Ckks.Context.make ~n ~levels () in
+  Ckks.Context.set_arena ctx (Some (Ckks.Arena.create ~n));
+  let keys = Ckks.Keys.keygen ~rotations:steps ctx in
+  let a = random_ct (Fhe_util.Prng.create 13) ctx ~level:levels in
+  let drop (r : E.ct) =
+    Ckks.Poly.release ctx r.E.c0;
+    Ckks.Poly.release ctx r.E.c1
+  in
+  let t_op, t_hoisted =
+    paired_medians ~runs:7
+      (fun () -> List.iter (fun s -> drop (E.rotate keys a s)) steps)
+      (fun () ->
+        let h = E.hoist keys a in
+        List.iter (fun s -> drop (E.rotate_hoisted keys h a s)) steps;
+        E.release_hoisted keys h)
+  in
+  let speedup = t_op /. t_hoisted in
+  if speedup < 2.0 then
+    Alcotest.failf
+      "%d rotations from one hoist only %.2fx over per-op rotate at n=%d, \
+       L=%d (want >= 2x): %.3f ms vs %.3f ms"
+      k speedup n levels t_hoisted t_op
+
+(* ------------------------------------------------------------------ *)
+(* Context: the special prime never collides with a chain prime *)
+
+let test_special_prime_outside_chain () =
+  List.iter
+    (fun logn ->
+      for level_bits = 16 to 28 do
+        for levels = 1 to 12 do
+          let ctx = Ckks.Context.make ~n:(1 lsl logn) ~levels ~level_bits () in
+          if Array.mem ctx.Ckks.Context.special ctx.Ckks.Context.primes then
+            Alcotest.failf "n=2^%d level_bits=%d levels=%d: special prime %d \
+                            is in the chain"
+              logn level_bits levels ctx.Ckks.Context.special
+        done
+      done)
+    kernel_logns;
+  (* the context that used to pick chain prime 3 as its special prime:
+     a mul (relinearization) and a rotation now switch keys *)
+  let ctx = Ckks.Context.make ~n:4096 ~levels:3 ~level_bits:16 () in
+  let keys = Ckks.Keys.keygen ctx in
+  let nh = Ckks.Context.slot_count ctx in
+  let v = Array.init nh (fun i -> sin (float_of_int i)) in
+  (* 2^22 keeps the product below the 48-bit modulus; the error is
+     dominated by fresh-encryption noise at n = 2^12 (0.019 measured) *)
+  let ct = E.encrypt keys ~level:3 ~scale:(Fhe_util.Bits.pow2f 22) v in
+  let got =
+    E.decrypt keys (E.rotate keys (E.rescale keys (E.mul keys ct ct)) 1)
+  in
+  Array.iteri
+    (fun i x ->
+      let want = v.((i + 1) mod nh) *. v.((i + 1) mod nh) in
+      if Float.abs (x -. want) > 0.05 then
+        Alcotest.failf "slot %d: %g, want %g" i x want)
+    got
+
+(* ------------------------------------------------------------------ *)
+(* plaintext rotation by a negative amount (the text format and the
+   wire accept one; Builder would have normalized it) *)
+
+let test_plain_rotate_negative () =
+  let n_slots = 8 in
+  let p =
+    Parser.parse_exn ~n_slots
+      "%0 = input x : cipher\n\
+       %1 = input w : plain\n\
+       %2 = rotate %1 -1\n\
+       %3 = mul %0 %2\n\
+       ret %3, %2\n"
+  in
+  let x = Array.init n_slots (fun i -> 0.1 *. float_of_int (i + 1)) in
+  let w = Array.init n_slots (fun i -> float_of_int (i + 1)) in
+  let inputs = [ ("x", x); ("w", w) ] in
+  let rotated =
+    Array.init n_slots (fun i -> w.((i + n_slots - 1) mod n_slots))
+  in
+  let refs = Fhe_sim.Interp.run_reference p ~inputs in
+  if refs.(1) <> rotated then Alcotest.fail "Interp: rotate by -1 is not right";
+  let m = Reserve.Pipeline.compile ~xmax_bits:4 ~rbits ~wbits p in
+  let negative = ref false in
+  Program.iteri
+    (fun _ k ->
+      match k with Op.Rotate (_, s) when s < 0 -> negative := true | _ -> ())
+    m.Managed.prog;
+  if not !negative then Alcotest.fail "the compiled plan lost the -1 rotation";
+  let got = Ckks.Backend.run m ~inputs in
+  if got.(1) <> rotated then Alcotest.fail "Backend: rotate by -1 is not right";
+  Array.iteri
+    (fun i y ->
+      if Float.abs (y -. refs.(0).(i)) > 1e-2 then
+        Alcotest.failf "slot %d: backend %g vs Interp %g" i y refs.(0).(i))
+    got.(0)
+
 let suite =
   [ Alcotest.test_case "NTT bit-exact vs Reference (all primes, 2^4..2^12)"
       `Slow test_ntt_bit_exact;
@@ -554,6 +885,20 @@ let suite =
     Alcotest.test_case "key_switch optimized >= 1.3x Reference at 2^10, L=12"
       `Slow test_keyswitch_speedup;
     Alcotest.test_case "kernel guards reject short rows (FHE_CKKS_CHECKED=1)"
-      `Quick test_kernel_guards ]
+      `Quick test_kernel_guards;
+    Alcotest.test_case
+      "rotate_hoisted bit-exact vs Reference (rotation group, levels 1..4 \
+       and 12, 2^4..2^12, -j1/-j4)"
+      `Slow test_rotate_hoisted_bit_exact;
+    Alcotest.test_case
+      "Lenet-5 and MLP hoisted backend = per-op rotate run, bit for bit"
+      `Slow test_backend_hoisting_bit_identical;
+    Alcotest.test_case "24 rotations from one hoist >= 2x per-op at 2^10, L=12"
+      `Slow test_hoisting_speedup;
+    Alcotest.test_case
+      "special prime outside the chain (2^4..2^12, 16..28 bits, 1..12 levels)"
+      `Slow test_special_prime_outside_chain;
+    Alcotest.test_case "plaintext rotate by -1 (Interp and Backend)" `Quick
+      test_plain_rotate_negative ]
 
 let () = Alcotest.run "fhe-exec" [ ("exec", suite) ]
