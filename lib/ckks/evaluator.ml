@@ -180,6 +180,8 @@ let accumulate (k : Keys.t) ?perm (digits : hoisted) (sk : Keys.switch_key) =
   let ctx = k.Keys.ctx in
   let n = ctx.Context.n in
   let level = Array.length digits in
+  if Keys.key_level sk < level then
+    invalid_arg "Evaluator.accumulate: switch key shallower than the digits";
   let acc_b = Poly.zero ctx ~level ~special:true ~ntt:true in
   let acc_a = Poly.zero ctx ~level ~special:true ~ntt:true in
   (* without a permutation [perm] is any row: it is never read *)
@@ -202,9 +204,8 @@ let accumulate (k : Keys.t) ?perm (digits : hoisted) (sk : Keys.switch_key) =
       let rb = acc_b.Poly.data.(r) and ra = acc_a.Poly.data.(r) in
       for j = 0 to level - 1 do
         let dj = digits.(j).Poly.data.(r) in
-        (* key rows: keys live in the full (levels, special) basis, so
-           chain row r aligns with key row r and the special row with
-           the key's last row *)
+        (* key rows: a key at any level >= [level] holds chain row r as
+           its row r and the special row as its last row *)
         let kb_j = sk.Keys.kb.(j) and ka_j = sk.Keys.ka.(j) in
         let key_row p = p.Poly.data.(if r < level then r else Poly.rows p - 1) in
         let kb = key_row kb_j and ka = key_row ka_j in
@@ -244,7 +245,7 @@ let mul (k : Keys.t) a b =
   let e0 = Poly.mul ctx a.c0 b.c0 in
   let e1 = Poly.add ctx (Poly.mul ctx a.c0 b.c1) (Poly.mul ctx a.c1 b.c0) in
   let e2 = Poly.mul ctx a.c1 b.c1 in
-  let rb, ra = key_switch k e2 (Keys.relin_key k) in
+  let rb, ra = key_switch k e2 (Keys.relin_key ~level:a.level k) in
   { c0 = Poly.add ctx e0 rb;
     c1 = Poly.add ctx e1 ra;
     level = a.level;
@@ -312,7 +313,9 @@ let rotate_hoisted (k : Keys.t) (h : hoisted) a steps =
       invalid_arg "Evaluator.rotate_hoisted: decomposition at another level";
     let g = Keys.galois_element ctx steps in
     let perm = Poly.galois_index ctx ~g in
-    let kb, ka = accumulate k ~perm h (Keys.galois_key k steps) in
+    let kb, ka =
+      accumulate k ~perm h (Keys.galois_key ~level:(Array.length h) k steps)
+    in
     Context.release_row ctx perm;
     let c0g = Poly.automorphism ctx a.c0 ~g in
     let c0 = Poly.add ctx c0g kb in

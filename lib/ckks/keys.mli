@@ -5,7 +5,12 @@
     Switch keys use the RNS per-prime decomposition with a special
     modulus: the key for digit [j] encrypts [P·target] on residue row
     [j] only, so [Σ_j \[x\]_{q_j} · ksk_j ≡ P·x·target (mod Q_l·P)] at
-    {e any} level [l] — one key set serves the whole modulus chain.
+    any level [l] the key covers.  A key at level [l] holds digits
+    [0..l-1], each over chain rows [0..l-1] plus the special row:
+    {!switch_key_bytes}[ ~level:l] = [2·l·(l+1)·n·8] bytes.  Without a
+    budget every key is made full-chain and serves the whole chain;
+    under a budget a key is trimmed to the level of the ciphertext that
+    asked for it, and its rows are exactly the full key's rows.
 
     Every switch key draws its randomness from a private stream derived
     from [(keygen seed, key identity)] — never from a shared sampler —
@@ -58,19 +63,26 @@ val keygen : ?seed:int -> ?rotations:int list -> ?key_budget:int -> Context.t ->
     relin key is generated eagerly and nothing is ever evicted; with it,
     all switch keys are lazy and the least-recently-used one is evicted
     whenever resident switch-key bytes would exceed the budget.  A
-    budget smaller than one key overshoots rather than fails. *)
+    budget smaller than one key overshoots rather than fails.  A budget
+    attaches an {!Arena} to [ctx] when none is attached, so the rows of
+    evicted keys are reused rather than left to the GC. *)
 
-val relin_key : t -> switch_key
-(** The relinearization key, generating (or regenerating) it on a miss. *)
+val relin_key : ?level:int -> t -> switch_key
+(** The relinearization key for ciphertexts at [level] (default: the
+    top of the chain).  A resident key at least that deep is returned;
+    otherwise the key is generated (or regenerated) — full-chain
+    without a budget, trimmed to [level] under one, replacing a
+    shallower resident key.
+    @raise Invalid_argument when [level] is outside [1..levels]. *)
 
-val galois_key : t -> int -> switch_key
+val galois_key : ?level:int -> t -> int -> switch_key
 (** [galois_key t k]: the rotation key for step [k] (normalized mod
-    slot count), generating it on a miss.
+    slot count), at [level] as for {!relin_key}.
     @raise Invalid_argument when the normalized step is 0. *)
 
 val add_rotation : t -> int -> unit
-(** Ensure the Galois key for one more rotation amount is resident
-    (idempotent; no-op for step 0). *)
+(** Ensure the full-chain Galois key for one more rotation amount is
+    resident (idempotent; no-op for step 0). *)
 
 val set_budget : t -> int option -> unit
 (** Install or clear the switch-key byte budget (takes effect at the
@@ -79,8 +91,23 @@ val set_budget : t -> int option -> unit
 val mem : t -> mem
 (** Byte/eviction counters (cumulative over the lifetime of [t]). *)
 
-val switch_key_bytes : Context.t -> int
-(** Size of one switch key in this context. *)
+val switch_key_bytes : ?level:int -> Context.t -> int
+(** Size of one switch key at [level] (default: the whole chain) in
+    this context: [2·level·(level+1)·n·8]. *)
+
+val key_level : switch_key -> int
+(** The chain rows (and digits) a key covers: the deepest ciphertext
+    level it switches. *)
+
+val make_switch_key :
+  Context.t -> Sampler.t -> s:Poly.t -> target:Poly.t -> level:int -> switch_key
+(** The one switch-key generator: the key switching [target] onto [s]
+    (both full-basis, NTT form) at [level], drawing every random cell
+    from the sampler's stream.  The rows of a key at [level < levels]
+    equal the same rows of the full-chain key from an equally seeded
+    sampler, bit for bit.  Fused and call-free; bit-exact against
+    [Reference.Keys.make_switch_key].
+    @raise Invalid_argument when [level] is outside [1..levels]. *)
 
 val derived_enc_seed : t -> int -> int
 (** Seed of the deterministic encryption stream for input tag [n]:

@@ -237,8 +237,11 @@ let drop_last ?keep (ctx : Context.t) t =
   let last_pi = prime_index ctx t last_row in
   let q_last = Context.prime ctx last_pi in
   let half = q_last / 2 in
-  (* bring the dropped component to coefficient form *)
-  let dropped = Rvec.copy t.data.(last_row) in
+  (* bring the dropped component to coefficient form, in a scratch row
+     from the arena (like the lifted rows below, taken on the driving
+     domain and returned after the fan-out) *)
+  let dropped = Context.alloc_row_raw ctx in
+  Rvec.blit t.data.(last_row) dropped;
   Ntt.inverse (Context.plan ctx last_pi) dropped;
   let full_level = if t.special then t.level else t.level - 1 in
   let out_level =
@@ -250,7 +253,8 @@ let drop_last ?keep (ctx : Context.t) t =
         l
   in
   let out = alloc ctx ~level:out_level ~special:false ~ntt:true in
-  guard ctx "Poly.drop_last" [ t; out ];
+  let lifted = alloc ctx ~level:out_level ~special:false ~ntt:true in
+  guard ctx "Poly.drop_last" [ t; out; lifted ];
   Context.par_rows ctx out_level (fun r ->
       let pi = prime_index ctx out r in
       let q = Context.prime ctx pi in
@@ -262,7 +266,7 @@ let drop_last ?keep (ctx : Context.t) t =
          than the chain primes); a wider gap takes the divide *)
       let wide = half >= two_q in
       (* centered lift of the dropped component, reduced mod q, in NTT *)
-      let lifted = A1.create Bigarray.int Bigarray.c_layout n in
+      let lifted = lifted.data.(r) in
       for j = 0 to n - 1 do
         let c = A1.unsafe_get dropped j in
         let c = c - (q_last land ((half - c) asr 62)) in
@@ -278,6 +282,8 @@ let drop_last ?keep (ctx : Context.t) t =
         let y = (d * inv_last) - (((d * il_sh) lsr 31) * q) - q in
         A1.unsafe_set dst j (y + (q land (y asr 62)))
       done);
+  Context.release_row ctx dropped;
+  release ctx lifted;
   out
 
 (* Slot i of an NTT-form row holds the evaluation at ψ^(2·bitrev(i)+1),

@@ -1,8 +1,12 @@
 (* The CKKS ring kernels as they were before the call-free rewrite of
-   Poly and Evaluator, kept verbatim as the bit-exact oracle the
+   Poly, Evaluator, Sampler and the switch-key generator, kept verbatim as the bit-exact oracle the
    optimized kernels are tested against (test_exec.ml) — like
    Ntt.Reference.  A unit of its own, so only the binaries that test
    against it link it. *)
+
+(* the call-free row kernels, which the switch-key generator below ran
+   on before it was fused *)
+module Row_kernels = Poly
 
 module Poly = struct
   (* the current Poly with the old row kernels over it, so the old key
@@ -210,4 +214,53 @@ module Evaluator = struct
           done
         done);
     (Poly.drop_last ctx acc_b, Poly.drop_last ctx acc_a)
+end
+
+(* the per-draw samplers: one Prng call per cell *)
+module Sampler = struct
+  let gaussian g ~n ?(sigma = 3.2) () =
+    Array.init n (fun _ ->
+        int_of_float (Float.round (sigma *. Fhe_util.Prng.gaussian g)))
+
+  let uniform_ntt g (ctx : Context.t) ~level ~special =
+    let p = Poly.zero ctx ~level ~special ~ntt:true in
+    Array.iteri
+      (fun r row ->
+        let q =
+          Context.prime ctx (if r < level then r else ctx.Context.levels)
+        in
+        for j = 0 to ctx.Context.n - 1 do
+          Rvec.set row j (Fhe_util.Prng.int g q)
+        done)
+      p.Poly.data;
+    p
+end
+
+module Keys = struct
+  module Poly = Row_kernels
+
+  (* Key for switching [target·(something)] onto s: digit j encrypts
+     e_j + P·target on residue row j. *)
+  let make_switch_key (ctx : Context.t) sampler ~s ~target =
+    let levels = ctx.Context.levels in
+    let n = ctx.Context.n in
+    let kb = Array.make levels s and ka = Array.make levels s in
+    for j = 0 to levels - 1 do
+      let a = Sampler.uniform_ntt sampler ctx ~level:levels ~special:true in
+      let e =
+        Poly.to_ntt ctx
+          (Poly.of_coeff_array ctx ~level:levels ~special:true
+             (Sampler.gaussian sampler ~n ()))
+      in
+      let gadget =
+        Poly.mul_scalar_fn ctx target (fun pi ->
+            if pi = j then ctx.Context.special else 0)
+      in
+      let b =
+        Poly.add ctx (Poly.add ctx (Poly.neg ctx (Poly.mul ctx a s)) e) gadget
+      in
+      kb.(j) <- b;
+      ka.(j) <- a
+    done;
+    { Keys.kb; ka }
 end

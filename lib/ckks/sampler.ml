@@ -4,19 +4,17 @@ let create ~seed = Fhe_util.Prng.create seed
 
 let ternary g ~n = Array.init n (fun _ -> Fhe_util.Prng.int g 3 - 1)
 
-let gaussian g ~n ?(sigma = 3.2) () =
-  Array.init n (fun _ ->
-      int_of_float (Float.round (sigma *. Fhe_util.Prng.gaussian g)))
+let sigma = 3.2
+
+let gaussian g ~n ?(sigma = sigma) () =
+  let e = Array.make n 0 in
+  Fhe_util.Prng.fill_gaussian g ~sigma e;
+  e
 
 let uniform_ntt g (ctx : Context.t) ~level ~special =
-  let p = Poly.zero ctx ~level ~special ~ntt:true in
+  let p = Poly.alloc ctx ~level ~special ~ntt:true in
   Array.iteri
     (fun r row ->
-      let q =
-        Context.prime ctx (if r < level then r else ctx.Context.levels)
-      in
-      for j = 0 to ctx.Context.n - 1 do
-        Rvec.set row j (Fhe_util.Prng.int g q)
-      done)
+      Fhe_util.Prng.fill_int g row (Context.prime ctx (Poly.prime_index ctx p r)))
     p.Poly.data;
   p

@@ -130,11 +130,20 @@ let w_switch_key b (sk : Keys.switch_key) =
   Array.iter (w_poly b) sk.Keys.kb;
   Array.iter (w_poly b) sk.Keys.ka
 
+(* A key at level l (budgeted key sets hold trimmed ones) has l digits,
+   each over the (l, special) basis in NTT form. *)
 let r_switch_key r ctx =
-  let n = r_u32 r in
-  if n <> ctx.Context.levels then raise (Bad "switch key digit count");
-  let kb = Array.init n (fun _ -> r_poly r ctx) in
-  let ka = Array.init n (fun _ -> r_poly r ctx) in
+  let digits = r_u32 r in
+  if digits < 1 || digits > ctx.Context.levels then
+    raise (Bad "switch key digit count");
+  let digit _ =
+    let p = r_poly r ctx in
+    if p.Poly.level <> digits || not p.Poly.special || not p.Poly.ntt then
+      raise (Bad "switch key digit basis");
+    p
+  in
+  let kb = Array.init digits digit in
+  let ka = Array.init digits digit in
   { Keys.kb; ka }
 
 let galois_keys_to_bytes (k : Keys.t) =
@@ -143,8 +152,10 @@ let galois_keys_to_bytes (k : Keys.t) =
   w_u8 b version;
   w_poly b k.Keys.pb;
   w_poly b k.Keys.pa;
-  (* forces generation if the relin key is lazy/evicted *)
-  w_switch_key b (Keys.relin_key k);
+  (* the resident relin key at whatever level it has; generation only
+     when it is lazy or evicted *)
+  w_switch_key b
+    (match k.Keys.relin with Some sk -> sk | None -> Keys.relin_key k);
   let rotations =
     List.sort compare
       (Hashtbl.fold (fun step _ acc -> step :: acc) k.Keys.galois [])
@@ -174,7 +185,12 @@ let load_evaluation_keys ctx ~secret data =
     (* loaded keys are resident from tick 0; relin is LRU tag 0 *)
     Hashtbl.replace last_use 0 0;
     Hashtbl.iter (fun step _ -> Hashtbl.replace last_use step 0) galois;
-    let resident = (1 + nrot) * Keys.switch_key_bytes ctx in
+    let resident =
+      Hashtbl.fold
+        (fun _ sk acc -> acc + Keys.switch_key_bytes ~level:(Keys.key_level sk) ctx)
+        galois
+        (Keys.switch_key_bytes ~level:(Keys.key_level relin) ctx)
+    in
     { Keys.ctx; seed = 0; s = secret; pb; pa; relin = Some relin; galois;
       last_use; tick = 0; budget = None;
       resident_bytes = resident; peak_bytes = resident;

@@ -16,7 +16,8 @@ val ciphertext_of_bytes : Context.t -> bytes -> (Evaluator.ct, string) result
 
 val galois_keys_to_bytes : Keys.t -> bytes
 (** Serialize the public evaluation material: public key, relin key, and
-    all currently generated Galois keys. *)
+    all currently generated Galois keys, each at the level it is
+    resident at (a budgeted key set holds trimmed keys). *)
 
 val load_evaluation_keys :
   Context.t -> secret:Poly.t -> bytes -> (Keys.t, string) result

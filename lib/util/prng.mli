@@ -36,6 +36,23 @@ val uniform : t -> lo:float -> hi:float -> float
 val gaussian : t -> float
 (** Standard normal draw (Box–Muller). *)
 
+val fill_int :
+  t -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t -> int -> unit
+(** [fill_int t row bound] sets cell [i] of [row] to the [i]-th of
+    [Array1.dim row] successive [int t bound] draws, in order, and
+    leaves [t] where those draws would: exactly the per-draw stream,
+    without a call per cell. *)
+
+val fill_gaussian : t -> sigma:float -> int array -> unit
+(** [fill_gaussian t ~sigma a] sets [a.(i)] to
+    [int_of_float (Float.round (sigma *. gaussian t))] for successive
+    draws, in order, leaving [t] in the same state the per-draw loop
+    would. *)
+
+val skip : t -> int -> unit
+(** [skip t k] advances [t] past [k] raw draws ([k] calls of
+    {!next_int64}, {!int} or {!float}) in constant time. *)
+
 val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit

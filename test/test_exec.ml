@@ -857,6 +857,263 @@ let test_plain_rotate_negative () =
         Alcotest.failf "slot %d: backend %g vs Interp %g" i y refs.(0).(i))
     got.(0)
 
+(* ------------------------------------------------------------------ *)
+(* Switch-key generation: row fills, the fused generator against the
+   retained per-draw generator, trimmed keys, pinned key bytes *)
+
+module Prng = Fhe_util.Prng
+
+(* the next raw draw tells whether two generators are in one state *)
+let same_state what a b =
+  if Prng.next_int64 a <> Prng.next_int64 b then
+    Alcotest.failf "%s: generator left in another state" what
+
+let test_prng_fills_per_draw () =
+  List.iter
+    (fun (seed, len) ->
+      List.iter
+        (fun bound ->
+          let g = Prng.create seed and g' = Prng.create seed in
+          let row = Ckks.Rvec.create len in
+          Prng.fill_int g row bound;
+          let want = Array.init len (fun _ -> Prng.int g' bound) in
+          if Ckks.Rvec.to_array row <> want then
+            Alcotest.failf "fill_int seed=%d len=%d bound=%d differs" seed len
+              bound;
+          same_state (Printf.sprintf "fill_int seed=%d len=%d" seed len) g g')
+        [ 1; 3; 12289; special_prime; max_int ];
+      List.iter
+        (fun sigma ->
+          let g = Prng.create seed and g' = Prng.create seed in
+          let a = Array.make len 0 in
+          Prng.fill_gaussian g ~sigma a;
+          let want =
+            Array.init len (fun _ ->
+                int_of_float (Float.round (sigma *. Prng.gaussian g')))
+          in
+          if a <> want then
+            Alcotest.failf "fill_gaussian seed=%d len=%d sigma=%g differs" seed
+              len sigma;
+          same_state (Printf.sprintf "fill_gaussian seed=%d len=%d" seed len) g
+            g')
+        [ 3.2; 1e6 ];
+      List.iter
+        (fun k ->
+          let g = Prng.create seed and g' = Prng.create seed in
+          Prng.skip g k;
+          for _ = 1 to k do
+            ignore (Prng.next_int64 g')
+          done;
+          same_state (Printf.sprintf "skip seed=%d k=%d" seed k) g g')
+        [ 0; 1; len; 3 * len ])
+    [ (0, 0); (1, 1); (7, 16); (0xC0FFEE, 257); (-5, 4096) ];
+  (* the samplers built on them, against the per-draw originals *)
+  let ctx = Ckks.Context.make ~n:64 ~levels:3 () in
+  List.iter
+    (fun (level, special) ->
+      let g = Ckks.Sampler.create ~seed:level
+      and g' = Ckks.Sampler.create ~seed:level in
+      same_poly "Sampler.uniform_ntt"
+        (Ckks.Sampler.uniform_ntt g ctx ~level ~special)
+        (Ckks.Reference.Sampler.uniform_ntt g' ctx ~level ~special);
+      if Ckks.Sampler.gaussian g ~n:64 () <> Ckks.Reference.Sampler.gaussian g' ~n:64 ()
+      then Alcotest.fail "Sampler.gaussian differs from Reference";
+      same_state "Sampler" g g')
+    [ (1, false); (3, false); (2, true); (3, true) ]
+
+(* an arena whose parked rows hold garbage, so a cell the generator
+   failed to write would show *)
+let dirty_arena ctx ~rows =
+  let n = ctx.Ckks.Context.n in
+  let a = Ckks.Arena.create ~n in
+  let g = Prng.create rows in
+  for _ = 1 to rows do
+    let r = Ckks.Rvec.create n in
+    Prng.fill_int g r (1 lsl 40);
+    Ckks.Arena.release a r
+  done;
+  Ckks.Context.set_arena ctx (Some a)
+
+let same_key what (got : Ckks.Keys.switch_key) (want : Ckks.Keys.switch_key) =
+  if Array.length got.Ckks.Keys.kb <> Array.length want.Ckks.Keys.kb then
+    Alcotest.failf "%s: digit count differs" what;
+  Array.iteri
+    (fun j p ->
+      same_poly (Printf.sprintf "%s kb.(%d)" what j) p want.Ckks.Keys.kb.(j);
+      same_poly
+        (Printf.sprintf "%s ka.(%d)" what j)
+        got.Ckks.Keys.ka.(j) want.Ckks.Keys.ka.(j))
+    got.Ckks.Keys.kb
+
+(* s and its two switch-key targets: s² (relinearization) and s under
+   the rotation-by-1 automorphism, full basis, NTT form *)
+let key_targets g ctx =
+  let s = random_poly g ctx ~level:ctx.Ckks.Context.levels ~special:true ~ntt:true in
+  ( s,
+    [ ("relin", P.mul ctx s s);
+      ("galois", P.automorphism ctx s ~g:(Ckks.Keys.galois_element ctx 1)) ] )
+
+let test_switch_key_bit_exact () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      for levels = 1 to 12 do
+        let ctx = Ckks.Context.make ~n ~levels () in
+        dirty_arena ctx ~rows:(4 * levels * (levels + 1));
+        let g = Prng.create ((logn * 131) + levels) in
+        let s, targets = key_targets g ctx in
+        let check width =
+          List.iter
+            (fun (name, target) ->
+              let seed = (levels * 977) + logn in
+              same_key
+                (Printf.sprintf "%s key n=%d L=%d -j%d" name n levels width)
+                (Ckks.Keys.make_switch_key ctx (Ckks.Sampler.create ~seed) ~s
+                   ~target ~level:levels)
+                (Ckks.Reference.Keys.make_switch_key ctx
+                   (Ckks.Sampler.create ~seed) ~s ~target))
+            targets
+        in
+        (* the row fan-out at width 4 where it is cheap *)
+        if logn <= 8 && levels mod 4 = 0 then at_widths ctx check else check 1
+      done)
+    kernel_logns
+
+(* a key trimmed to l holds the full key's digits < l, rows < l and
+   special row; a deeper resident key serves a shallower request, a
+   shallower one is replaced, and the budget counts real bytes *)
+let test_trimmed_keys () =
+  List.iter
+    (fun (n, levels) ->
+      let ctx = Ckks.Context.make ~n ~levels () in
+      let full = Ckks.Keys.keygen ~seed:11 ctx in
+      let ctx' = Ckks.Context.make ~n ~levels () in
+      let budgeted = Ckks.Keys.keygen ~seed:11 ~key_budget:max_int ctx' in
+      let trimmed_of (sk : Ckks.Keys.switch_key) l =
+        let rows (p : P.t) =
+          { p with
+            P.level = l;
+            data =
+              Array.init (l + 1) (fun r ->
+                  if r < l then p.P.data.(r) else p.P.data.(levels)) }
+        in
+        { Ckks.Keys.kb = Array.map rows (Array.sub sk.Ckks.Keys.kb 0 l);
+          ka = Array.map rows (Array.sub sk.Ckks.Keys.ka 0 l) }
+      in
+      for l = 1 to levels do
+        let tag what = Printf.sprintf "%s n=%d L=%d l=%d" what n levels l in
+        let gens0 = (Ckks.Keys.mem budgeted).Ckks.Keys.gens in
+        let rot = Ckks.Keys.galois_key ~level:l budgeted 3 in
+        let relin = Ckks.Keys.relin_key ~level:l budgeted in
+        Alcotest.(check int) (tag "trimmed to l") l (Ckks.Keys.key_level rot);
+        same_key (tag "galois")
+          rot (trimmed_of (Ckks.Keys.galois_key full 3) l);
+        same_key (tag "relin") relin (trimmed_of (Ckks.Keys.relin_key full) l);
+        Alcotest.(check int) (tag "shallower keys replaced") (gens0 + 2)
+          (Ckks.Keys.mem budgeted).Ckks.Keys.gens;
+        Alcotest.(check int) (tag "resident bytes are the keys' own")
+          (2 * Ckks.Keys.switch_key_bytes ~level:l ctx)
+          (Ckks.Keys.mem budgeted).Ckks.Keys.resident_bytes
+      done;
+      let gens = (Ckks.Keys.mem budgeted).Ckks.Keys.gens in
+      let rot = Ckks.Keys.galois_key ~level:1 budgeted 3 in
+      Alcotest.(check int) "a deeper resident key is a hit" levels
+        (Ckks.Keys.key_level rot);
+      Alcotest.(check int) "and generates nothing" gens
+        (Ckks.Keys.mem budgeted).Ckks.Keys.gens;
+      (* without a budget a level changes nothing: keys are full-chain *)
+      Alcotest.(check int) "unbudgeted keys stay full-chain" levels
+        (Ckks.Keys.key_level (Ckks.Keys.galois_key ~level:1 full 7)))
+    [ (16, 1); (64, 6); (256, 12) ]
+
+let test_switch_key_speedup () =
+  let n = 256 and levels = 6 in
+  let ctx = Ckks.Context.make ~n ~levels () in
+  Ckks.Context.set_arena ctx (Some (Ckks.Arena.create ~n));
+  let s, targets = key_targets (Prng.create 21) ctx in
+  let target = List.assoc "relin" targets in
+  let release (sk : Ckks.Keys.switch_key) =
+    Array.iter (P.release ctx) sk.Ckks.Keys.kb;
+    Array.iter (P.release ctx) sk.Ckks.Keys.ka
+  in
+  let t_ref, t_opt =
+    paired_medians ~runs:7
+      (fun () ->
+        ignore
+          (Ckks.Reference.Keys.make_switch_key ctx (Ckks.Sampler.create ~seed:1)
+             ~s ~target))
+      (fun () ->
+        release
+          (Ckks.Keys.make_switch_key ctx (Ckks.Sampler.create ~seed:1) ~s
+             ~target ~level:levels))
+  in
+  let speedup = t_ref /. t_opt in
+  if speedup < 1.3 then
+    Alcotest.failf
+      "fused switch-key generator only %.2fx over Reference at n=%d, L=%d \
+       (want >= 1.3x): %.3f ms vs %.3f ms"
+      speedup n levels t_opt t_ref;
+  (* and, in the bounds-checked mode, it refuses a short row up front *)
+  if Ckks.Rvec.checked then
+    let short = { s with P.data = Array.map (fun _ -> Ckks.Rvec.create 8) s.P.data } in
+    match
+      Ckks.Keys.make_switch_key ctx (Ckks.Sampler.create ~seed:1) ~s:short
+        ~target ~level:levels
+    with
+    | _ -> Alcotest.fail "make_switch_key accepted a short row"
+    | exception Invalid_argument _ -> ()
+
+(* The MD5 of the serialized key set (public key, relin key, rotations
+   1, 5, -3), pinned from the per-draw generator before the fused one
+   replaced it: every key byte, at two chain depths. *)
+let test_key_bytes_golden () =
+  List.iter
+    (fun (n, levels, digest) ->
+      let ctx = Ckks.Context.make ~n ~levels () in
+      let keys = Ckks.Keys.keygen ~seed:0x5EED ~rotations:[ 1; 5; -3 ] ctx in
+      Alcotest.(check string)
+        (Printf.sprintf "key bytes n=%d L=%d" n levels)
+        digest
+        (Digest.to_hex (Digest.bytes (Ckks.Serialize.galois_keys_to_bytes keys))))
+    [ (64, 3, "6de35d28f2f22b2d2e3c0e0e00fbc55c");
+      (1024, 12, "b611e4f7adf46a1d84cf3502a7f212b5") ]
+
+(* a budgeted key set holds trimmed keys: it serializes at their levels,
+   loads back with its real byte count, and still evaluates *)
+let test_serialize_trimmed_keys () =
+  let ctx = Ckks.Context.make ~n:256 ~levels:4 () in
+  let keys = Ckks.Keys.keygen ~seed:9 ~key_budget:max_int ctx in
+  let nh = Ckks.Context.slot_count ctx in
+  let v = Array.init nh (fun i -> sin (float_of_int i) /. 2.0) in
+  let scale = Fhe_util.Bits.pow2f 22 in
+  let ct = E.encrypt keys ~level:2 ~scale v in
+  let eval k = E.decrypt k (E.rotate k (E.rescale k (E.mul k ct ct)) 2) in
+  let want = eval keys in
+  Alcotest.(check (list int)) "keys trimmed to the ciphertext levels" [ 2; 1 ]
+    (List.map Ckks.Keys.key_level
+       [ Ckks.Keys.relin_key ~level:2 keys; Ckks.Keys.galois_key ~level:1 keys 2 ]);
+  let blob = Ckks.Serialize.galois_keys_to_bytes keys in
+  match Ckks.Serialize.load_evaluation_keys ctx ~secret:keys.Ckks.Keys.s blob with
+  | Error e -> Alcotest.failf "a budgeted key set does not load back: %s" e
+  | Ok keys' ->
+      Alcotest.(check int) "loaded bytes are the keys' own"
+        (Ckks.Keys.mem keys).Ckks.Keys.resident_bytes
+        (Ckks.Keys.mem keys').Ckks.Keys.resident_bytes;
+      if Ckks.Serialize.galois_keys_to_bytes keys' <> blob then
+        Alcotest.fail "reloaded key set serializes differently";
+      let got = eval keys' in
+      Array.iteri
+        (fun i x ->
+          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float want.(i)))
+          then Alcotest.failf "slot %d: reloaded %h vs original %h" i x want.(i))
+        got;
+      Array.iteri
+        (fun i x ->
+          let expect = v.((i + 2) mod nh) ** 2.0 in
+          if Float.abs (x -. expect) > 0.05 then
+            Alcotest.failf "slot %d: %g vs %g" i x expect)
+        got
+
 let suite =
   [ Alcotest.test_case "NTT bit-exact vs Reference (all primes, 2^4..2^12)"
       `Slow test_ntt_bit_exact;
@@ -899,6 +1156,20 @@ let suite =
       "special prime outside the chain (2^4..2^12, 16..28 bits, 1..12 levels)"
       `Slow test_special_prime_outside_chain;
     Alcotest.test_case "plaintext rotate by -1 (Interp and Backend)" `Quick
-      test_plain_rotate_negative ]
+      test_plain_rotate_negative;
+    Alcotest.test_case "Prng row fills and skip = the per-draw stream" `Quick
+      test_prng_fills_per_draw;
+    Alcotest.test_case
+      "switch-key generator bit-exact vs Reference (2^4..2^12, L 1..12, \
+       dirty arena)"
+      `Slow test_switch_key_bit_exact;
+    Alcotest.test_case "trimmed keys = the full key's rows at every level"
+      `Slow test_trimmed_keys;
+    Alcotest.test_case "switch-key generator >= 1.3x Reference at 2^8, L=6"
+      `Slow test_switch_key_speedup;
+    Alcotest.test_case "key bytes pinned (MD5, n=2^6/L=3 and 2^10/L=12)"
+      `Quick test_key_bytes_golden;
+    Alcotest.test_case "budgeted (trimmed) key set round-trips and evaluates"
+      `Quick test_serialize_trimmed_keys ]
 
 let () = Alcotest.run "fhe-exec" [ ("exec", suite) ]
