@@ -360,7 +360,7 @@ let micro () =
     let b = Builder.create ~n_slots:16384 () in
     let x = Builder.input b "x" in
     let gx =
-      Fhe_apps.Kernels.conv2d b x ~width:64 ~height:64
+      Fhe_tensor.Kernels.conv2d b x ~width:64 ~height:64
         ~weights:Fhe_apps.Sobel.sobel_x
     in
     Builder.finish b ~outputs:[ Builder.square b gx ]
@@ -368,19 +368,21 @@ let micro () =
   let mr = prog_of (Reg.find "MR") in
   let prm = Reserve.Rtype.params ~rbits:60 ~wbits:30 in
   let order = Reserve.Ordering.run prm mr in
+  let reserve = SReg.get_exn "reserve-full" in
+  let cfg = St.config ~rbits:60 ~wbits:30 () in
   let tests =
     [ Bechamel.Test.make ~name:"eva/sobel-like"
         (Bechamel.Staged.stage (fun () ->
              ignore (Fhe_eva.Eva.compile ~rbits:60 ~wbits:30 sobel_like)));
       Bechamel.Test.make ~name:"reserve/sobel-like"
         (Bechamel.Staged.stage (fun () ->
-             ignore (Reserve.Pipeline.compile ~rbits:60 ~wbits:30 sobel_like)));
+             ignore (SReg.compile_uncached reserve cfg sobel_like)));
       Bechamel.Test.make ~name:"eva/MR"
         (Bechamel.Staged.stage (fun () ->
              ignore (Fhe_eva.Eva.compile ~rbits:60 ~wbits:30 mr)));
       Bechamel.Test.make ~name:"reserve/MR"
         (Bechamel.Staged.stage (fun () ->
-             ignore (Reserve.Pipeline.compile ~rbits:60 ~wbits:30 mr)));
+             ignore (SReg.compile_uncached reserve cfg mr)));
       Bechamel.Test.make ~name:"ordering/MR"
         (Bechamel.Staged.stage (fun () ->
              ignore (Reserve.Ordering.run prm mr)));

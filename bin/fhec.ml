@@ -132,11 +132,9 @@ let validated m =
 let render_attempts attempts =
   String.concat "\n"
     (List.map
-       (fun (a : Reserve.Pipeline.attempt) ->
-         Format.asprintf "attempt %s (waterline %d):@\n%a"
-           (Reserve.Pipeline.engine_name a.Reserve.Pipeline.engine)
-           a.Reserve.Pipeline.wbits Reserve.Diag.pp_list
-           a.Reserve.Pipeline.diags)
+       (fun (a : SReg.attempt) ->
+         Format.asprintf "attempt %s (waterline %d):@\n%a" a.SReg.strategy
+           a.SReg.wbits Reserve.Diag.pp_list a.SReg.diags)
        attempts)
 
 (* Per-leg portfolio report: est latencies only (wall times and cache
@@ -191,25 +189,19 @@ let do_compile ?(fallback = false) ?pool app compiler ~rbits ~wbits
         match SReg.of_name name with
         | None -> Error (Printf.sprintf "unknown compiler %S" name)
         | Some s -> (
-            match St.safe s with
-            | Some safe -> (
-                match
-                  safe cfg ~strict:(not fallback) ~oracle:true
-                    ~oracle_inputs:(app.Reg.inputs ~seed:42) p
-                with
-                | Ok o ->
-                    List.iter
-                      (fun d ->
-                        Printf.printf "%s\n" (Reserve.Diag.to_string d))
-                      o.Reserve.Pipeline.warnings;
-                    if o.Reserve.Pipeline.fallbacks <> [] then
-                      Printf.printf "fallback engine : %s (waterline %d)\n"
-                        (Reserve.Pipeline.engine_name
-                           o.Reserve.Pipeline.engine)
-                        o.Reserve.Pipeline.wbits;
-                    Ok (p, o.Reserve.Pipeline.managed, xmax_bits)
-                | Error attempts -> Error (render_attempts attempts))
-            | None -> Ok (p, SReg.compile s cfg p, xmax_bits)))
+            match
+              SReg.compile_safe s cfg ~strict:(not fallback) ~oracle:true
+                ~oracle_inputs:(app.Reg.inputs ~seed:42) p
+            with
+            | Ok o ->
+                List.iter
+                  (fun d -> Printf.printf "%s\n" (Reserve.Diag.to_string d))
+                  o.SReg.warnings;
+                if o.SReg.fallbacks <> [] then
+                  Printf.printf "fallback engine : %s (waterline %d)\n"
+                    o.SReg.strategy o.SReg.wbits;
+                Ok (p, o.SReg.managed, xmax_bits)
+            | Error attempts -> Error (render_attempts attempts)))
 
 let report app (m : Managed.t) xmax =
   Printf.printf "app            : %s (%s)\n" app.Reg.name app.Reg.description;

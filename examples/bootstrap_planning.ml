@@ -34,28 +34,28 @@ let () =
     (Analysis.max_mult_depth p);
 
   let budget = 6 in
-  match Reserve.Bootplan.plan ~max_level:budget ~rbits:60 ~wbits:30 p with
+  match Fhe_strategy.Bootplan.plan ~max_level:budget ~rbits:60 ~wbits:30 p with
   | Error e ->
       prerr_endline e;
       exit 1
   | Ok plan ->
       Printf.printf "level budget %d -> %d segments, cut after depths [%s]\n"
         budget
-        (List.length plan.Reserve.Bootplan.segments)
+        (List.length plan.Fhe_strategy.Bootplan.segments)
         (String.concat "; "
-           (List.map string_of_int plan.Reserve.Bootplan.cuts));
+           (List.map string_of_int plan.Fhe_strategy.Bootplan.cuts));
       List.iteri
         (fun i m ->
           Printf.printf "  segment %d: %4d ops, L = %d, est %.3f s\n" i
             (Program.n_ops m.Managed.prog)
             (Managed.input_level m)
             (Fhe_cost.Model.estimate m /. 1e6))
-        plan.Reserve.Bootplan.segments;
+        plan.Fhe_strategy.Bootplan.segments;
       Printf.printf
         "%d bootstraps -> total %.1f s (at 1 s per bootstrap)\n"
-        plan.Reserve.Bootplan.bootstraps
-        (plan.Reserve.Bootplan.total_latency_us /. 1e6);
+        plan.Fhe_strategy.Bootplan.bootstraps
+        (plan.Fhe_strategy.Bootplan.total_latency_us /. 1e6);
       Printf.printf
         "the search ran scale management %d times in %.1f ms total —\n\
          at Hecate's exploration cost this planner would be infeasible\n"
-        plan.Reserve.Bootplan.sm_invocations plan.Reserve.Bootplan.sm_time_ms
+        plan.Fhe_strategy.Bootplan.sm_invocations plan.Fhe_strategy.Bootplan.sm_time_ms

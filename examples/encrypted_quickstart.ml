@@ -23,7 +23,11 @@ let () =
   let program = Builder.finish b ~outputs:[ q ] in
 
   let rbits = 28 and wbits = 24 in
-  let m = Reserve.Pipeline.compile ~rbits ~wbits program in
+  let m =
+    Fhe_strategy.Registry.(
+      compile (get_exn "reserve-full")
+        (Fhe_strategy.Strategy.config ~rbits ~wbits ()) program)
+  in
   Printf.printf "compiled: L = %d (coefficient modulus ~ 2^%d), %d ops\n"
     (Managed.input_level m)
     (Managed.input_level m * rbits)

@@ -18,16 +18,17 @@ let () =
     build_ms;
 
   let wbits = 30 in
-  let (rsv, stats), rsv_ms =
+  let module St = Fhe_strategy.Strategy in
+  let (rsv, ph), rsv_ms =
     Fhe_util.Timer.time (fun () ->
-        Reserve.Pipeline.compile_with_stats ~rbits:60 ~wbits program)
+        St.compile_with_phases
+          (Fhe_strategy.Registry.get_exn "reserve-full")
+          (St.config ~rbits:60 ~wbits ()) program)
   in
   Printf.printf
     "reserve analysis : %.1f ms total (ordering %.1f + allocation %.1f + \
      placement %.1f), compile %.1f ms\n"
-    stats.Reserve.Pipeline.total_ms stats.Reserve.Pipeline.ordering_ms
-    stats.Reserve.Pipeline.allocation_ms stats.Reserve.Pipeline.placement_ms
-    rsv_ms;
+    ph.St.total_ms ph.St.analyze_ms ph.St.annotate_ms ph.St.place_ms rsv_ms;
 
   let eva, eva_ms =
     Fhe_util.Timer.time (fun () ->

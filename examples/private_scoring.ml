@@ -42,7 +42,7 @@ let () =
   (* aggregate: the encrypted mean score over the whole batch — a
      rotate-and-sum reduction whose heavy rotations tempt a latency-only
      explorer into aggressive (noisy) downscaling *)
-  let mean = Fhe_apps.Kernels.mean_slots b score ~n:n_slots in
+  let mean = Fhe_tensor.Kernels.mean_slots b score ~n:n_slots in
   let p = Builder.finish b ~outputs:[ score; mean ] in
   Printf.printf "logistic scorer: %d ops, depth %d\n" (Program.n_arith p)
     (Analysis.max_mult_depth p);

@@ -25,7 +25,11 @@ let () =
      the paper's Figure 2. *)
   let rbits = 60 and wbits = 20 in
   let eva = Fhe_eva.Eva.compile ~rbits ~wbits program in
-  let reserve = Reserve.Pipeline.compile ~rbits ~wbits program in
+  let reserve =
+    Fhe_strategy.Registry.(
+      compile (get_exn "reserve-full")
+        (Fhe_strategy.Strategy.config ~rbits ~wbits ()) program)
+  in
   let hecate =
     (Fhe_hecate.Hecate.compile ~iterations:300 ~rbits ~wbits program)
       .Fhe_hecate.Hecate.managed

@@ -33,7 +33,11 @@ let () =
             (Fhe_cost.Model.estimate m /. 1e6)
             outs.(0).Fhe_sim.Interp.data.(0) outs.(1).Fhe_sim.Interp.data.(0)
             (Fhe_util.Bits.log2f outs.(0).Fhe_sim.Interp.err))
-        [ ("EVA", Fhe_eva.Eva.compile ~xmax_bits ~rbits:60 ~wbits program);
-          ( "reserve",
-            Reserve.Pipeline.compile ~xmax_bits ~rbits:60 ~wbits program ) ])
+        (List.map
+           (fun (label, s) ->
+             ( label,
+               Fhe_strategy.Registry.(compile (get_exn s))
+                 (Fhe_strategy.Strategy.config ~xmax_bits ~rbits:60 ~wbits ())
+                 program ))
+           [ ("EVA", "eva"); ("reserve", "reserve-full") ]))
     [ 20; 40 ]

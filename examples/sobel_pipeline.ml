@@ -19,7 +19,12 @@ let () =
 
   let wbits = 25 in
   let eva = Fhe_eva.Eva.compile ~xmax_bits ~rbits:60 ~wbits program in
-  let rsv = Reserve.Pipeline.compile ~xmax_bits ~rbits:60 ~wbits program in
+  let rsv =
+    Fhe_strategy.Registry.(
+      compile (get_exn "reserve-full")
+        (Fhe_strategy.Strategy.config ~xmax_bits ~rbits:60 ~wbits ())
+        program)
+  in
   Validator.check_exn eva;
   Validator.check_exn rsv;
 

@@ -1,4 +1,5 @@
 open Fhe_ir
+module Kernels = Fhe_tensor.Kernels
 
 let width = 64
 

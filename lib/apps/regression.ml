@@ -1,4 +1,5 @@
 open Fhe_ir
+module Kernels = Fhe_tensor.Kernels
 
 (* Homomorphic gradient descent.  [feats] are ciphertext feature
    vectors; weights/intercept start as the given public constants. *)

@@ -4,7 +4,7 @@ open Fhe_ir
 
     Maps a {!Key.make} key to a compiled {!Managed.t} through an
     in-memory {!Lru} and, when a cache directory is configured, the
-    {!Disk} store.  The reserve pipeline, the differential driver, the
+    {!Disk} store.  The strategy registry, the differential driver, the
     fuzz harness and the bench emitters all consult one shared instance,
     so a program compiled once under a configuration is never compiled
     again — the memoization is sound because every compiler here is a

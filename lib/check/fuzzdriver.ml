@@ -53,14 +53,16 @@ let one_seed ~size ~rbits ~wbits ~strict seed =
   try
     let g = Fhe_sim.Progen.make ~size seed in
     let p = g.Fhe_sim.Progen.prog in
+    let cfg = Fhe_strategy.Strategy.config ~rbits ~wbits () in
     let managed, outcome =
       match
-        Reserve.Pipeline.compile_safe ~strict
-          ~oracle_inputs:g.Fhe_sim.Progen.inputs ~rbits ~wbits p
+        Fhe_strategy.Registry.compile_safe
+          (Fhe_strategy.Registry.get_exn "reserve-full")
+          cfg ~strict ~oracle:true ~oracle_inputs:g.Fhe_sim.Progen.inputs p
       with
       | Ok o ->
-          ( Some o.Reserve.Pipeline.managed,
-            if o.Reserve.Pipeline.fallbacks = [] then `Ok else `Fallback )
+          ( Some o.Fhe_strategy.Registry.managed,
+            if o.Fhe_strategy.Registry.fallbacks = [] then `Ok else `Fallback )
       | Error _ -> (None, `Failed)
     in
     let r = { r with outcome = Some outcome } in
@@ -74,7 +76,6 @@ let one_seed ~size ~rbits ~wbits ~strict seed =
       | Some m -> Some m
       | None -> (
           let eva = Fhe_strategy.Registry.get_exn "eva" in
-          let cfg = Fhe_strategy.Strategy.config ~rbits ~wbits () in
           match Fhe_strategy.Registry.compile eva cfg p with
           | m -> Some m
           | exception _ -> None)

@@ -77,11 +77,13 @@ let check ?(rbits = 60) ?(wbits = 25) ?(xmax_bits = 0) ?noise p ~inputs =
         (Format.asprintf "%a" Oracle.pp_mismatch
            (List.hd o.Oracle.mismatches))
   in
+  let reserve = Fhe_strategy.Registry.get_exn "reserve-full" in
+  let cfg = Fhe_strategy.Strategy.config ~xmax_bits ~rbits ~wbits () in
   guarded "optimize-then-compile" (fun () ->
       well_typed "optimize-then-compile"
-        (Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits (optimize p)));
+        (Fhe_strategy.Registry.compile reserve cfg (optimize p)));
   guarded "managed-rewrites" (fun () ->
-      let m = Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p in
+      let m = Fhe_strategy.Registry.compile reserve cfg p in
       well_typed "managed-cse" (Managed.cse m);
       well_typed "managed-dce" (Managed.dce m);
       well_typed "managed-cse-dce" (Managed.dce (Managed.cse m)));

@@ -16,12 +16,7 @@ let encode (ctx : Context.t) ~level ~scale values =
     coeff.(i) <- Float.round (vals.(i).Complex.re *. scale);
     coeff.(i + nh) <- Float.round (vals.(i).Complex.im *. scale)
   done;
-  (* the rows are fresh: transform them in place, not through
-     [Poly.to_ntt]'s copy *)
-  let p = Poly.of_float_coeffs ctx ~level coeff in
-  Context.par_rows ctx level (fun r ->
-      Ntt.forward (Context.plan ctx r) p.Poly.data.(r));
-  { p with Poly.ntt = true }
+  Poly.to_ntt_in_place ctx (Poly.of_float_coeffs ctx ~level coeff)
 
 let decode (ctx : Context.t) ~scale p =
   let p = Poly.of_ntt ctx p in

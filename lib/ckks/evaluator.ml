@@ -10,27 +10,24 @@ let scale_mismatch_tolerance = 1e-3
 let encode_at (k : Keys.t) ~level ~scale values =
   Encoder.encode k.Keys.ctx ~level ~scale values
 
+(* fresh samples, transformed in place *)
+let fresh_ntt ctx ~level coeffs =
+  Poly.to_ntt_in_place ctx
+    (Poly.of_coeff_array ctx ~level ~special:false coeffs)
+
 let encrypt_with (k : Keys.t) fresh ~level ~scale values =
   let ctx = k.Keys.ctx in
   let n = ctx.Context.n in
   let m = encode_at k ~level ~scale values in
-  let u =
-    Poly.to_ntt ctx
-      (Poly.of_coeff_array ctx ~level ~special:false
-         (Sampler.ternary fresh ~n))
+  let u = fresh_ntt ctx ~level (Sampler.ternary fresh ~n) in
+  let e0 = fresh_ntt ctx ~level (Sampler.gaussian fresh ~n ()) in
+  let e1 = fresh_ntt ctx ~level (Sampler.gaussian fresh ~n ()) in
+  (* the public key's first [level] rows, shared, not copied: the
+     kernels below only read their operands *)
+  let rows (p : Poly.t) =
+    { p with Poly.level; data = Array.sub p.Poly.data 0 level }
   in
-  let e0 =
-    Poly.to_ntt ctx
-      (Poly.of_coeff_array ctx ~level ~special:false
-         (Sampler.gaussian fresh ~n ()))
-  in
-  let e1 =
-    Poly.to_ntt ctx
-      (Poly.of_coeff_array ctx ~level ~special:false
-         (Sampler.gaussian fresh ~n ()))
-  in
-  let pb = Poly.restrict ctx k.Keys.pb ~level ~special:false in
-  let pa = Poly.restrict ctx k.Keys.pa ~level ~special:false in
+  let pb = rows k.Keys.pb and pa = rows k.Keys.pa in
   { c0 = Poly.add ctx (Poly.add ctx (Poly.mul ctx pb u) e0) m;
     c1 = Poly.add ctx (Poly.mul ctx pa u) e1;
     level;
@@ -55,11 +52,7 @@ let encrypt_sym (k : Keys.t) ~level ~scale values =
   let fresh = k.Keys.enc_sampler in
   let m = encode_at k ~level ~scale values in
   let a = Sampler.uniform_ntt fresh ctx ~level ~special:false in
-  let e =
-    Poly.to_ntt ctx
-      (Poly.of_coeff_array ctx ~level ~special:false
-         (Sampler.gaussian fresh ~n ()))
-  in
+  let e = fresh_ntt ctx ~level (Sampler.gaussian fresh ~n ()) in
   let s = Poly.restrict ctx k.Keys.s ~level ~special:false in
   { c0 = Poly.add ctx (Poly.add ctx (Poly.neg ctx (Poly.mul ctx a s)) e) m;
     c1 = a;

@@ -44,14 +44,16 @@ let copy_into (ctx : Context.t) t =
 let release (ctx : Context.t) t =
   Array.iter (Context.release_row ctx) t.data
 
-let to_ntt (ctx : Context.t) t =
+let to_ntt_in_place (ctx : Context.t) t =
   if t.ntt then t
   else begin
-    let t' = copy_into ctx t in
     Context.par_rows ctx (rows t) (fun r ->
-        Ntt.forward (Context.plan ctx (prime_index ctx t r)) t'.data.(r));
-    { t' with ntt = true }
+        Ntt.forward (Context.plan ctx (prime_index ctx t r)) t.data.(r));
+    { t with ntt = true }
   end
+
+let to_ntt (ctx : Context.t) t =
+  if t.ntt then t else to_ntt_in_place ctx (copy_into ctx t)
 
 let of_ntt (ctx : Context.t) t =
   if not t.ntt then t

@@ -55,6 +55,11 @@ val of_float_coeffs : Context.t -> level:int -> float array -> t
 val to_ntt : Context.t -> t -> t
 (** No-op if already in NTT form. *)
 
+val to_ntt_in_place : Context.t -> t -> t
+(** {!to_ntt} without the copy, for a fresh polynomial nobody else
+    reads: its rows are transformed in place and shared with the
+    result. *)
+
 val of_ntt : Context.t -> t -> t
 (** Inverse transform; no-op if already in coefficient form. *)
 

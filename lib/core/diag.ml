@@ -22,6 +22,10 @@ type t = {
 
 type 'a pass_result = ('a, t list) result
 
+exception Failed of t list
+
+let ok_exn = function Ok x -> x | Error ds -> raise (Failed ds)
+
 let make ?(severity = Error) ?op ?hint pass msg =
   { severity; pass; op; msg; hint }
 
@@ -78,3 +82,9 @@ let pp_list ppf ds =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp ppf ds
 
 let to_string d = Format.asprintf "%a" pp d
+
+let () =
+  Printexc.register_printer (function
+    | Failed ds ->
+        Some ("Diag.Failed: " ^ String.concat "; " (List.map to_string ds))
+    | _ -> None)

@@ -33,6 +33,14 @@ type t = {
 type 'a pass_result = ('a, t list) result
 (** The pass-result convention: [Ok x], or every problem found. *)
 
+exception Failed of t list
+(** A failed pass's diagnostics, raised where a {!pass_result} must
+    become an exception (the reserve strategy phases); the fallback
+    driver catches it and keeps the diagnostics. *)
+
+val ok_exn : 'a pass_result -> 'a
+(** [Ok x] is [x]; [Error ds] raises [Failed ds]. *)
+
 val make : ?severity:severity -> ?op:Op.id -> ?hint:string -> pass -> string -> t
 (** [make pass msg] builds a diagnostic; [severity] defaults to [Error]. *)
 

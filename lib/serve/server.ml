@@ -79,10 +79,6 @@ let compile_one level (req : Protocol.compile_request) : Protocol.reply =
       ?iterations:(if req.iterations > 0 then Some req.iterations else None)
       ~rbits:req.rbits ~wbits:req.wbits ()
   in
-  let plain engine managed =
-    Protocol.Compiled
-      { engine; wbits_used = req.wbits; warnings = []; managed }
-  in
   if String.lowercase_ascii req.compiler = Fhe_strategy.Portfolio.mode_name
   then
     let rec resolve acc = function
@@ -102,11 +98,16 @@ let compile_one level (req : Protocol.compile_request) : Protocol.reply =
         with
         | Ok r -> (
             match r.Fhe_strategy.Portfolio.winner.result with
-            | Ok m ->
-                plain
-                  ("portfolio:"
-                  ^ St.name r.Fhe_strategy.Portfolio.winner.strategy)
-                  m
+            | Ok managed ->
+                Protocol.Compiled
+                  {
+                    engine =
+                      "portfolio:"
+                      ^ St.name r.Fhe_strategy.Portfolio.winner.strategy;
+                    wbits_used = req.wbits;
+                    warnings = [];
+                    managed;
+                  }
             | Error _ -> assert false (* the winner is an Ok leg *))
         | Error msg -> Protocol.Failed [ msg ])
   else
@@ -115,34 +116,23 @@ let compile_one level (req : Protocol.compile_request) : Protocol.reply =
         Protocol.Bad_request
           (Printf.sprintf "unknown compiler %S" req.compiler)
     | Some s -> (
-        match St.safe s with
-        | Some safe -> (
-            let strict =
-              not (req.allow_fallback || level = Admission.Pressured)
+        let strict = not (req.allow_fallback || level = Admission.Pressured) in
+        match Reg.compile_safe s cfg ~strict ~oracle:req.oracle req.program with
+        | Ok o ->
+            let reply =
+              {
+                Protocol.engine = o.Reg.strategy;
+                wbits_used = o.Reg.wbits;
+                warnings = List.map Reserve.Diag.to_string o.Reg.warnings;
+                managed = o.Reg.managed;
+              }
             in
-            match safe cfg ~strict ~oracle:req.oracle req.program with
-            | Ok o ->
-                let reply =
-                  {
-                    Protocol.engine =
-                      Reserve.Pipeline.engine_name o.Reserve.Pipeline.engine;
-                    wbits_used = o.Reserve.Pipeline.wbits;
-                    warnings =
-                      List.map Reserve.Diag.to_string
-                        o.Reserve.Pipeline.warnings;
-                    managed = o.Reserve.Pipeline.managed;
-                  }
-                in
-                if o.Reserve.Pipeline.fallbacks = [] then
-                  Protocol.Compiled reply
-                else Protocol.Degraded reply
-            | Error attempts ->
-                Protocol.Failed
-                  (List.map Reserve.Diag.to_string
-                     (Reserve.Pipeline.attempt_diags attempts)))
-        | None -> (
-            try plain (St.name s) (Reg.compile s cfg req.program)
-            with e -> Protocol.Failed [ diag_of_exn e ]))
+            if o.Reg.fallbacks = [] then Protocol.Compiled reply
+            else Protocol.Degraded reply
+        | Error attempts ->
+            Protocol.Failed
+              (List.map Reserve.Diag.to_string (Reg.attempt_diags attempts))
+        | exception e -> Protocol.Failed [ diag_of_exn e ])
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection handling. *)

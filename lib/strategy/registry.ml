@@ -1,4 +1,5 @@
 open Fhe_ir
+module Diag = Reserve.Diag
 
 (* The EVA baseline: a fused forward pass.  Scale tracking and op
    insertion happen in one walk, so analyze/annotate are trivial and
@@ -27,8 +28,6 @@ module Eva_strategy = struct
   let place (cfg : Strategy.config) p () =
     Fhe_eva.Eva.compile ~xmax_bits:cfg.xmax_bits ~rbits:cfg.rbits
       ~wbits:cfg.wbits p
-
-  let safe = None
 end
 
 (* Hecate: annotate explores the proactive-downscale plan space, place
@@ -64,27 +63,21 @@ module Hecate_strategy = struct
       ~xmax_bits:cfg.xmax_bits ~rbits:cfg.rbits ~wbits:cfg.wbits p
 
   let place _ _ (r : Fhe_hecate.Hecate.result) = r.Fhe_hecate.Hecate.managed
-  let safe = None
 end
 
 (* The reserve variants map 1:1 onto the interface: analyze is the §6.1
    allocation ordering, annotate the §6.2/§6.3 backward reserve
-   analysis, place the §7 insertion (+hoisting for `Full) — matching
-   Pipeline.compile's uncached path, validation included. *)
+   analysis, place the §7 insertion (+hoisting for reserve-full).  Each
+   phase runs its checked pass and raises the pass's diagnostics as
+   Diag.Failed; Placement.run_safe validates the result. *)
 module Reserve_strategy (V : sig
-  val variant : Reserve.Pipeline.variant
+  val name : string
+  val aliases : string list
+  val redistribute : bool
+  val hoist : bool
 end) =
 struct
-  let name = Reserve.Pipeline.variant_name V.variant
-
-  let aliases =
-    match V.variant with
-    | `Ba -> [ "ba" ]
-    | `Ra -> [ "ra" ]
-    | `Full -> [ "reserve"; "full" ]
-
-  let redistribute = match V.variant with `Ba -> false | `Ra | `Full -> true
-  let hoist = match V.variant with `Ba | `Ra -> false | `Full -> true
+  include V
 
   let caps =
     {
@@ -96,7 +89,8 @@ struct
 
   let cache_key_tag = name
 
-  (* matches Pipeline.plan_key's eager_input_upscale = None slot *)
+  (* the slot of the retired input-upscale knob, kept so stored keys
+     still hit *)
   let cache_extra _ _ = [ "-" ]
 
   type analysis = int array
@@ -105,35 +99,35 @@ struct
   let prm (cfg : Strategy.config) =
     Reserve.Rtype.params ~rbits:cfg.rbits ~wbits:cfg.wbits
 
-  let analyze cfg p = Reserve.Ordering.run (prm cfg) p
+  let analyze cfg p = Diag.ok_exn (Reserve.Ordering.run_safe (prm cfg) p)
 
   let annotate (cfg : Strategy.config) p order =
-    Reserve.Allocation.run (prm cfg) ~redistribute
-      ~output_reserve:cfg.xmax_bits ~order p
+    Diag.ok_exn
+      (Reserve.Allocation.run_safe (prm cfg) ~redistribute
+         ~output_reserve:cfg.xmax_bits ~order p)
 
-  let place _ p alloc =
-    let m = Reserve.Placement.run ~hoist p alloc in
-    Validator.check_exn m;
-    m
-
-  let safe =
-    Some
-      (fun (cfg : Strategy.config) ~strict ~oracle ?oracle_inputs p ->
-        Reserve.Pipeline.compile_safe ~variant:V.variant
-          ~xmax_bits:cfg.xmax_bits ~strict ~oracle ?oracle_inputs
-          ~rbits:cfg.rbits ~wbits:cfg.wbits p)
+  let place _ p alloc = Diag.ok_exn (Reserve.Placement.run_safe ~hoist p alloc)
 end
 
 module Reserve_ba = Reserve_strategy (struct
-  let variant = `Ba
+  let name = "reserve-ba"
+  let aliases = [ "ba" ]
+  let redistribute = false
+  let hoist = false
 end)
 
 module Reserve_ra = Reserve_strategy (struct
-  let variant = `Ra
+  let name = "reserve-ra"
+  let aliases = [ "ra" ]
+  let redistribute = true
+  let hoist = false
 end)
 
 module Reserve_full = Reserve_strategy (struct
-  let variant = `Full
+  let name = "reserve-full"
+  let aliases = [ "reserve"; "full" ]
+  let redistribute = true
+  let hoist = true
 end)
 
 (* Canonical order: pins the differential report and Benchjson entry
@@ -187,3 +181,152 @@ let compile_hit s cfg p =
       (fun () -> Fhe_cache.Store.bypass (fun () -> compile_uncached s cfg p))
 
 let compile s cfg p = fst (compile_hit s cfg p)
+
+(* ------------------------------------------------------------------ *)
+(* The resilient driver: validate every link, self-check the result
+   against the reference execution, and degrade through one list of
+   strategy names instead of crashing. *)
+
+type attempt = { strategy : string; wbits : int; diags : Diag.t list }
+
+type outcome = {
+  managed : Managed.t;
+  strategy : string;
+  wbits : int;
+  fallbacks : attempt list;
+  warnings : Diag.t list;
+}
+
+let attempt_diags atts = List.concat_map (fun a -> a.diags) atts
+
+let chain = [ "reserve-full"; "reserve-ra"; "reserve-ba"; "eva" ]
+
+(* bit decrements of the waterline for the final EVA links *)
+let waterline_steps = [ 5; 10 ]
+
+(* Deterministic synthetic inputs for the oracle when the caller has
+   none at hand; shorter than the slot count (zero-padded by the
+   interpreter) to keep the self-check cheap on wide programs. *)
+let synth_inputs prog =
+  let rng = Fhe_util.Prng.create 0x5eed in
+  let n = min (Program.n_slots prog) 64 in
+  let acc = ref [] in
+  Program.iteri
+    (fun _ k ->
+      match k with
+      | Op.Input { name; _ } when not (List.mem_assoc name !acc) ->
+          acc :=
+            ( name,
+              Array.init n (fun _ ->
+                  Fhe_util.Prng.uniform rng ~lo:(-1.0) ~hi:1.0) )
+            :: !acc
+      | _ -> ())
+    prog;
+  List.rev !acc
+
+(* The managed program must compute the same function as its source, up
+   to the propagated noise bound plus float-association slack. *)
+let oracle_check prog m ~inputs =
+  match
+    let refs = Fhe_sim.Interp.run_reference prog ~inputs in
+    let outs = Fhe_sim.Interp.run m ~inputs in
+    let bad = ref [] in
+    Array.iteri
+      (fun i (v : Fhe_sim.Interp.value) ->
+        let r = refs.(i) in
+        Array.iteri
+          (fun j x ->
+            let bound =
+              v.Fhe_sim.Interp.err +. (1e-9 *. (1.0 +. Float.abs r.(j)))
+            in
+            if Float.abs (x -. r.(j)) > bound && !bad = [] then
+              bad :=
+                [ Diag.errorf Diag.Oracle
+                    "output %d slot %d: managed %g differs from reference %g \
+                     beyond the noise bound %g"
+                    i j x r.(j) bound ])
+          v.Fhe_sim.Interp.data)
+      outs;
+    !bad
+  with
+  | [] -> Ok ()
+  | ds -> Error ds
+  | exception e -> Error [ Diag.of_exn Diag.Oracle e ]
+
+let attempt s cfg ~oracle ~inputs p =
+  match compile s cfg p with
+  | exception Diag.Failed ds -> Error ds
+  | exception e -> Error [ Diag.of_exn Diag.Driver e ]
+  | m -> (
+      match Validator.check m with
+      | Error es -> Error (List.map Diag.of_validator_error es)
+      | Ok () when oracle ->
+          Result.map (fun () -> m) (oracle_check p m ~inputs)
+      | Ok () -> Ok m)
+
+let compile_safe s (cfg : Strategy.config) ~strict ~oracle ?oracle_inputs p =
+  if not (Strategy.caps s).Strategy.fallback_chain then
+    Ok
+      {
+        managed = compile s cfg p;
+        strategy = Strategy.name s;
+        wbits = cfg.wbits;
+        fallbacks = [];
+        warnings = [];
+      }
+  else
+    try
+      let inputs =
+        match oracle_inputs with
+        | Some i -> i
+        | None -> if oracle then synth_inputs p else []
+      in
+      let links =
+        if strict then [ (s, cfg.wbits) ]
+        else
+          (* the links after [s], or straight to EVA from a strategy
+             registered off the built-in chain *)
+          let rec after = function
+            | [] -> [ "eva" ]
+            | n :: rest -> if n = Strategy.name s then rest else after rest
+          in
+          let eva = get_exn "eva" in
+          ((s, cfg.wbits)
+          :: List.map (fun n -> (get_exn n, cfg.wbits)) (after chain))
+          @ List.filter_map
+              (fun d ->
+                let w = cfg.wbits - d in
+                if w >= 1 then Some (eva, w) else None)
+              waterline_steps
+      in
+      let rec go failed = function
+        | [] -> Error (List.rev failed)
+        | (link, w) :: rest -> (
+            let name = Strategy.name link in
+            match attempt link { cfg with wbits = w } ~oracle ~inputs p with
+            | Ok m ->
+                let warnings =
+                  if failed = [] then []
+                  else
+                    [ Diag.warnf Diag.Driver
+                        "requested configuration failed; degraded to %s at \
+                         waterline %d after %d failed attempt(s)"
+                        name w (List.length failed) ]
+                in
+                Ok
+                  {
+                    managed = m;
+                    strategy = name;
+                    wbits = w;
+                    fallbacks = List.rev failed;
+                    warnings;
+                  }
+            | Error diags ->
+                go ({ strategy = name; wbits = w; diags } :: failed) rest)
+      in
+      go [] links
+    with e ->
+      Error
+        [ { strategy = Strategy.name s;
+            wbits = cfg.wbits;
+            diags = [ Diag.of_exn Diag.Driver e ] } ]

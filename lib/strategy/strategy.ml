@@ -24,9 +24,6 @@ type phases = {
   total_ms : float;
 }
 
-type safe_outcome =
-  (Reserve.Pipeline.outcome, Reserve.Pipeline.attempt list) result
-
 module type SCALE_STRATEGY = sig
   val name : string
   val aliases : string list
@@ -40,12 +37,6 @@ module type SCALE_STRATEGY = sig
   val analyze : config -> Program.t -> analysis
   val annotate : config -> Program.t -> analysis -> annotation
   val place : config -> Program.t -> annotation -> Managed.t
-
-  val safe :
-    (config -> strict:bool -> oracle:bool ->
-     ?oracle_inputs:(string * float array) list -> Program.t ->
-     safe_outcome)
-    option
 end
 
 type t = (module SCALE_STRATEGY)
@@ -53,7 +44,6 @@ type t = (module SCALE_STRATEGY)
 let name (module S : SCALE_STRATEGY) = S.name
 let aliases (module S : SCALE_STRATEGY) = S.aliases
 let caps (module S : SCALE_STRATEGY) = S.caps
-let safe (module S : SCALE_STRATEGY) = S.safe
 
 let caps_string c =
   let flags =

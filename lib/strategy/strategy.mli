@@ -21,7 +21,9 @@ type caps = {
   redistributes : bool;  (** reserve redistribution (§6.3) *)
   hoists : bool;         (** rescale hoisting (§7) *)
   explores : bool;       (** stochastic plan exploration (Hecate) *)
-  fallback_chain : bool; (** participates in [compile_safe] degradation *)
+  fallback_chain : bool;
+      (** {!Registry.compile_safe} walks the fallback chain from this
+          strategy; [false] compiles it plainly *)
 }
 
 type config = {
@@ -45,9 +47,6 @@ type phases = {
   total_ms : float;
 }
 
-type safe_outcome = (Reserve.Pipeline.outcome, Reserve.Pipeline.attempt list)
-  result
-
 module type SCALE_STRATEGY = sig
   val name : string
   (** Canonical name, e.g. ["reserve-full"].  The single naming scheme:
@@ -56,7 +55,7 @@ module type SCALE_STRATEGY = sig
 
   val aliases : string list
   (** Accepted spellings kept for compatibility (e.g. ["reserve"] for
-      the full variant, matching the old [Pipeline.engine_name]). *)
+      the full variant). *)
 
   val caps : caps
 
@@ -76,18 +75,9 @@ module type SCALE_STRATEGY = sig
   val place : config -> Program.t -> annotation -> Managed.t
   (** The three passes.  [place]'s result is legal
       ({!Fhe_ir.Validator.check} passes) for strategies that validate;
-      see each instance's doc.  Any phase may raise — callers that need
-      totality go through {!safe} or catch. *)
-
-  val safe :
-    (config -> strict:bool -> oracle:bool ->
-     ?oracle_inputs:(string * float array) list -> Program.t ->
-     safe_outcome)
-    option
-  (** Degrading entry point for strategies on the resilient fallback
-      chain (the reserve variants, via
-      {!Reserve.Pipeline.compile_safe}); [None] for strategies compiled
-      plainly. *)
+      see each instance's doc.  Any phase may raise — a phase that
+      collects diagnostics raises {!Reserve.Diag.Failed}; callers that
+      need totality go through {!Registry.compile_safe} or catch. *)
 end
 
 type t = (module SCALE_STRATEGY)
@@ -98,11 +88,6 @@ type t = (module SCALE_STRATEGY)
 val name : t -> string
 val aliases : t -> string list
 val caps : t -> caps
-val safe :
-  t ->
-  (config -> strict:bool -> oracle:bool ->
-   ?oracle_inputs:(string * float array) list -> Program.t -> safe_outcome)
-  option
 
 val caps_string : caps -> string
 (** Comma-joined flag names, ["-"] when none — for [--list-strategies]
@@ -110,9 +95,8 @@ val caps_string : caps -> string
 
 val cache_key : t -> config -> Program.t -> string
 (** The {!Fhe_cache.Key.make} key for compiling [p] under this strategy
-    and config.  Byte-identical to the keys the pre-refactor drivers
-    minted ([Pipeline.cache_key], [Pipeline.eva_cache_key], the
-    differential driver's Hecate key). *)
+    and config.  Byte-stable: the [@strategy] tier pins literal keys, so
+    existing on-disk stores keep hitting. *)
 
 val compile_uncached : t -> config -> Program.t -> Managed.t
 (** Run the three phases; no {!Fhe_cache.Store} interaction. *)

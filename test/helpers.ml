@@ -44,6 +44,23 @@ let check_equivalent ?(slack = 1e-9) src m inputs =
 
 let float_approx ?(eps = 1e-9) () = Alcotest.float eps
 
+(* Compiles go through the strategy registry, the one compile entry
+   point; [strategy] defaults to reserve-full. *)
+let config ?(xmax_bits = 0) ~rbits ~wbits () =
+  Fhe_strategy.Strategy.config ~xmax_bits ~rbits ~wbits ()
+
+let compile ?(strategy = "reserve-full") ?xmax_bits ~rbits ~wbits p =
+  Fhe_strategy.Registry.compile
+    (Fhe_strategy.Registry.get_exn strategy)
+    (config ?xmax_bits ~rbits ~wbits ())
+    p
+
+let compile_safe ?(strict = false) ?oracle_inputs ~rbits ~wbits p =
+  Fhe_strategy.Registry.compile_safe
+    (Fhe_strategy.Registry.get_exn "reserve-full")
+    (config ~rbits ~wbits ())
+    ~strict ~oracle:true ?oracle_inputs p
+
 let estimate = Fhe_cost.Model.estimate
 
 let contains s sub =

@@ -105,7 +105,7 @@ let compilers_on name w =
   let p = prog_of a in
   let inputs = a.Reg.inputs ~seed:11 in
   let eva = Fhe_eva.Eva.compile ~rbits:60 ~wbits:w p in
-  let rsv = Reserve.Pipeline.compile ~rbits:60 ~wbits:w p in
+  let rsv = Helpers.compile ~rbits:60 ~wbits:w p in
   Helpers.check_valid eva;
   Helpers.check_valid rsv;
   Helpers.check_equivalent ~slack:1e-6 p eva inputs;
@@ -128,7 +128,7 @@ let test_lenet_compilers () = compilers_on "Lenet-5" 30
 let test_kernel_sum_slots () =
   let b = Builder.create ~n_slots:8 () in
   let x = Builder.input b "x" in
-  let p = Builder.finish b ~outputs:[ Fhe_apps.Kernels.sum_slots b x ~n:8 ] in
+  let p = Builder.finish b ~outputs:[ Fhe_tensor.Kernels.sum_slots b x ~n:8 ] in
   let out =
     (Fhe_sim.Interp.run_reference p
        ~inputs:[ ("x", [| 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. |]) ]).(0)
@@ -141,7 +141,7 @@ let test_kernel_matvec_diag () =
   let x = [| 1.0; -1.0; 2.0; 0.5 |] in
   let b = Builder.create ~n_slots:16 () in
   let xe = Builder.input b "x" in
-  let p = Builder.finish b ~outputs:[ Fhe_apps.Kernels.matvec_diag b xe ~dim ~mat ] in
+  let p = Builder.finish b ~outputs:[ Fhe_tensor.Kernels.matvec_diag b xe ~dim ~mat ] in
   let out = (Fhe_sim.Interp.run_reference p ~inputs:[ ("x", x) ]).(0) in
   for r = 0 to dim - 1 do
     let expect = ref 0.0 in
@@ -161,8 +161,8 @@ let test_kernel_matvec_bsgs_matches_diag () =
   let x = Array.init dim (fun i -> float_of_int (i + 1) /. 8.0) in
   let b = Builder.create ~n_slots:32 () in
   let xe = Builder.input b "x" in
-  let d = Fhe_apps.Kernels.matvec_diag b xe ~dim ~mat in
-  let s = Fhe_apps.Kernels.matvec_bsgs b xe ~dim ~mat in
+  let d = Fhe_tensor.Kernels.matvec_diag b xe ~dim ~mat in
+  let s = Fhe_tensor.Kernels.matvec_bsgs b xe ~dim ~mat in
   let p = Builder.finish b ~outputs:[ d; s ] in
   let outs = Fhe_sim.Interp.run_reference p ~inputs:[ ("x", x) ] in
   for r = 0 to dim - 1 do
@@ -176,7 +176,7 @@ let test_kernel_conv2d () =
   let b = Builder.create ~n_slots:16 () in
   let img = Builder.input b "img" in
   let id = [| [| 0.;0.;0. |]; [| 0.;1.;0. |]; [| 0.;0.;0. |] |] in
-  let c = Fhe_apps.Kernels.conv2d b img ~width:4 ~height:4 ~weights:id in
+  let c = Fhe_tensor.Kernels.conv2d b img ~width:4 ~height:4 ~weights:id in
   let p = Builder.finish b ~outputs:[ c ] in
   let data = Array.init 16 (fun i -> float_of_int i) in
   let out = (Fhe_sim.Interp.run_reference p ~inputs:[ ("img", data) ]).(0) in
@@ -187,7 +187,7 @@ let test_kernel_masked_gather () =
   let x = Builder.input b "x" in
   let y = Builder.input b "y" in
   let gathered =
-    Fhe_apps.Kernels.masked_gather b [ (x, 0, 2, 0); (y, 2, 2, 2) ]
+    Fhe_tensor.Kernels.masked_gather b [ (x, 0, 2, 0); (y, 2, 2, 2) ]
   in
   let p = Builder.finish b ~outputs:[ gathered ] in
   let out =

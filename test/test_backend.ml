@@ -42,7 +42,7 @@ let test_eva_backend () =
 
 let test_reserve_backend () =
   let p = paper_program () in
-  check_backend p (Reserve.Pipeline.compile ~rbits ~wbits p)
+  check_backend p (Helpers.compile ~rbits ~wbits p)
 
 let test_hecate_backend () =
   let p = paper_program () in
@@ -60,7 +60,7 @@ let test_rotation_program () =
   in
   let masked = Builder.mul b sum4 (Builder.vconst b (Array.make 8 0.25)) in
   let p = Builder.finish b ~outputs:[ masked ] in
-  check_backend p (Reserve.Pipeline.compile ~rbits ~wbits p)
+  check_backend p (Helpers.compile ~rbits ~wbits p)
 
 let test_sub_neg_program () =
   let b = Builder.create ~n_slots () in
@@ -76,7 +76,7 @@ let test_plain_input_program () =
   let w = Builder.input b ~vt:Op.Plain "y" in
   let e = Builder.add b (Builder.mul b x w) x in
   let p = Builder.finish b ~outputs:[ e ] in
-  check_backend p (Reserve.Pipeline.compile ~rbits ~wbits p)
+  check_backend p (Helpers.compile ~rbits ~wbits p)
 
 let test_rejects_wrong_rbits () =
   let p = paper_program () in
@@ -92,11 +92,11 @@ let test_small_sobel_encrypted () =
   let b = Builder.create ~n_slots () in
   let img = Builder.input b "x" in
   let gx =
-    Fhe_apps.Kernels.conv2d b img ~width ~height:width
+    Fhe_tensor.Kernels.conv2d b img ~width ~height:width
       ~weights:Fhe_apps.Sobel.sobel_x
   in
   let gy =
-    Fhe_apps.Kernels.conv2d b img ~width ~height:width
+    Fhe_tensor.Kernels.conv2d b img ~width ~height:width
       ~weights:Fhe_apps.Sobel.sobel_y
   in
   let out = Builder.add b (Builder.square b gx) (Builder.square b gy) in
@@ -107,7 +107,7 @@ let test_small_sobel_encrypted () =
     Fhe_sim.Interp.max_magnitude_bits p ~inputs:inputs2
   in
   check_backend ~tol:0.5 p
-    (Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p)
+    (Helpers.compile ~xmax_bits ~rbits ~wbits p)
 
 (* All eight registry applications (exec-scale variants) end to end
    through the reserve compiler: decrypt within the pinned per-app
@@ -121,7 +121,7 @@ let test_all_apps_encrypted () =
       let p = a.Reg.exec_build () in
       let inputs = a.Reg.exec_inputs ~seed:42 in
       let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-      let m = Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p in
+      let m = Helpers.compile ~xmax_bits ~rbits ~wbits p in
       Helpers.check_valid m;
       let expect = Fhe_sim.Interp.run_reference p ~inputs in
       let got, st = Ckks.Backend.run_timed m ~inputs in

@@ -13,6 +13,8 @@
 open Fhe_ir
 module Store = Fhe_cache.Store
 module Reg = Fhe_apps.Registry
+module St = Fhe_strategy.Strategy
+module SReg = Fhe_strategy.Registry
 
 let str = Printf.sprintf
 
@@ -261,14 +263,19 @@ let test_disk_rejects_bad_keys () =
 
 let small_prog seed = (Fhe_sim.Progen.make ~size:12 seed).Fhe_sim.Progen.prog
 
+let reserve = SReg.get_exn "reserve-full"
+let cfg ?(wbits = 30) () = St.config ~rbits:60 ~wbits ()
+let key_full p = St.cache_key reserve (cfg ()) p
+let compile_full ?wbits p = SReg.compile reserve (cfg ?wbits ()) p
+
 let test_store_memory_hit () =
   fresh_cache ();
   let p = small_prog 3 in
-  let key = Reserve.Pipeline.cache_key ~rbits:60 ~wbits:30 p in
+  let key = key_full p in
   let computes = ref 0 in
   let compute () =
     incr computes;
-    Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p)
+    Store.bypass (fun () -> compile_full p)
   in
   let m1, hit1 = Store.with_managed_hit ~key compute in
   let m2, hit2 = Store.with_managed_hit ~key compute in
@@ -284,8 +291,8 @@ let test_store_memory_hit () =
 let test_store_bypass () =
   fresh_cache ();
   let p = small_prog 4 in
-  let key = Reserve.Pipeline.cache_key ~rbits:60 ~wbits:30 p in
-  let m = Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p) in
+  let key = key_full p in
+  let m = Store.bypass (fun () -> compile_full p) in
   Store.bypass (fun () -> Store.add key m);
   Alcotest.(check bool) "bypassed add dropped" true (Store.find key = None);
   Store.add key m;
@@ -297,8 +304,8 @@ let test_store_disabled () =
   fresh_cache ();
   Store.set_enabled false;
   let p = small_prog 5 in
-  let key = Reserve.Pipeline.cache_key ~rbits:60 ~wbits:30 p in
-  let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p in
+  let key = key_full p in
+  let m = compile_full p in
   Store.add key m;
   Alcotest.(check bool) "disabled store holds nothing" true
     (Store.find key = None);
@@ -313,10 +320,10 @@ let test_store_poisoned_recompute () =
   let p = small_prog 6 in
   let reference =
     print_managed
-      (Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p))
+      (Store.bypass (fun () -> compile_full p))
   in
   (* populate memory + disk *)
-  let _ = Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p in
+  let _ = compile_full p in
   (* corrupt every entry on disk, then drop the in-memory layer so the
      next lookup must go to disk *)
   let entries =
@@ -326,7 +333,7 @@ let test_store_poisoned_recompute () =
   Alcotest.(check bool) "disk populated" true (entries <> []);
   List.iter (fun f -> corrupt_file (Filename.concat dir f)) entries;
   Store.reset ();
-  let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p in
+  let m = compile_full p in
   Alcotest.(check string) "recompute equals reference" reference
     (print_managed m);
   let s = Store.stats () in
@@ -336,7 +343,7 @@ let test_store_poisoned_recompute () =
   (* the poisoned file was deleted and replaced by the recompute; a
      fresh lookup now hits clean *)
   Store.reset ();
-  let m' = Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p in
+  let m' = compile_full p in
   Alcotest.(check string) "disk self-healed" reference (print_managed m');
   Alcotest.(check int) "no new poison" 0 (Store.stats ()).Store.poisoned;
   Store.set_dir None
@@ -347,8 +354,8 @@ let test_store_rejects_invalid_payload () =
   let dir = disk_dir "invalid" in
   fresh_cache ~dir ();
   let p = small_prog 7 in
-  let key = Reserve.Pipeline.cache_key ~rbits:60 ~wbits:30 p in
-  let m = Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p) in
+  let key = key_full p in
+  let m = Store.bypass (fun () -> compile_full p) in
   (* break the scale bookkeeping, then write the corpse with a *valid*
      checksum, as a hostile/buggy producer would *)
   let bad = { m with Managed.scale = Array.map (fun s -> s + 7) m.Managed.scale } in
@@ -364,14 +371,14 @@ let test_store_rejects_invalid_payload () =
 
 let test_cache_consistency_clean () =
   let p = small_prog 8 in
-  let m = Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p) in
+  let m = Store.bypass (fun () -> compile_full p) in
   Alcotest.(check int) "no violations against itself" 0
     (List.length
        (Fhe_check.Invariants.check_cache_consistency ~cached:m ~fresh:m))
 
 let test_cache_consistency_flags_drift () =
   let p = small_prog 9 in
-  let fresh = Store.bypass (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:30 p) in
+  let fresh = Store.bypass (fun () -> compile_full p) in
   let cached =
     { fresh with Managed.scale = Array.map (fun s -> s + 1) fresh.Managed.scale }
   in
@@ -392,10 +399,9 @@ let test_differential_flags_poisoned_hit () =
   let p = g.Fhe_sim.Progen.prog in
   let wrong =
     Store.bypass (fun () ->
-        Reserve.Pipeline.compile ~variant:`Full ~rbits:60 ~wbits:25 p)
+        compile_full ~wbits:25 p)
   in
-  Store.add (Reserve.Pipeline.cache_key ~variant:`Full ~rbits:60 ~wbits:30 p)
-    { wrong with Managed.wbits = 30 };
+  Store.add (key_full p) { wrong with Managed.wbits = 30 };
   let r =
     Fhe_check.Differential.run
       ~compilers:[ Option.get (Fhe_check.Differential.of_name "reserve-full") ]
@@ -420,35 +426,35 @@ let test_differential_flags_poisoned_hit () =
 
 let hecate_iters = 10
 
-let compile_app (a : Reg.app) p compiler =
-  match compiler with
-  | "eva" -> Fhe_eva.Eva.compile ~rbits:60 ~wbits:30 p
-  | "hecate" ->
-      (Fhe_hecate.Hecate.compile ~iterations:hecate_iters ~rbits:60 ~wbits:30
-         p)
-        .Fhe_hecate.Hecate.managed
-  | "reserve-ba" -> Reserve.Pipeline.compile ~variant:`Ba ~rbits:60 ~wbits:30 p
-  | "reserve-ra" -> Reserve.Pipeline.compile ~variant:`Ra ~rbits:60 ~wbits:30 p
-  | "reserve-full" ->
-      Reserve.Pipeline.compile ~variant:`Full ~rbits:60 ~wbits:30 p
-  | other -> Alcotest.fail (str "unknown compiler %s (%s)" other a.Reg.name)
+let app_cfg = St.config ~iterations:hecate_iters ~rbits:60 ~wbits:30 ()
 
-let app_key p compiler =
-  match compiler with
-  | "eva" -> Reserve.Pipeline.eva_cache_key ~rbits:60 ~wbits:30 p
-  | "hecate" ->
-      Fhe_cache.Key.make ~digest:(Intern.digest p) ~compiler:"hecate"
-        ~rbits:60 ~wbits:30
-        ~extra:[ string_of_int hecate_iters ]
-        ()
-  | variant_name ->
-      let variant =
-        match variant_name with
-        | "reserve-ba" -> `Ba
-        | "reserve-ra" -> `Ra
-        | _ -> `Full
-      in
-      Reserve.Pipeline.cache_key ~variant ~rbits:60 ~wbits:30 p
+let compile_app p compiler =
+  SReg.compile_uncached (SReg.get_exn compiler) app_cfg p
+
+let app_key p compiler = St.cache_key (SReg.get_exn compiler) app_cfg p
+
+(* The keys the store has always used, captured before the registry
+   became the only compile entry point: on-disk stores keep hitting. *)
+let test_store_keys_pinned () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string) (str "reserve-full key, program %d" seed) want
+        (key_full (small_prog seed)))
+    [ (3, "da522b87582c228ac918fda2a2982721");
+      (4, "576ab7755f8622325ca7923d2e6eec61");
+      (5, "b193175481065b2253be547df4f75a0b");
+      (7, "ea5427bc25389586401ac1a01d83a84e");
+      (11, "49271802e4547bae7b52ef9ecf805bc1") ];
+  let keys =
+    List.concat_map
+      (fun (a : Reg.app) ->
+        let p = a.Reg.build () in
+        List.map (fun c -> app_key p c ^ "\n") (SReg.names ()))
+      Reg.all
+  in
+  Alcotest.(check string) "MD5 of the 8 apps x 5 strategies keys"
+    "26cc5db85e0854ddf8269800c1c0d89f"
+    (Digest.to_hex (Digest.string (String.concat "" keys)))
 
 let test_warm_equals_cold_all_apps () =
   let dir = disk_dir "apps" in
@@ -463,12 +469,12 @@ let test_warm_equals_cold_all_apps () =
           fresh_cache ~dir ();
           let key = app_key p c in
           let cold =
-            print_managed (Store.bypass (fun () -> compile_app a p c))
+            print_managed (Store.bypass (fun () -> compile_app p c))
           in
           (* populate: a miss computes and writes memory + disk *)
           let first =
             Store.with_managed ~key (fun () ->
-                Store.bypass (fun () -> compile_app a p c))
+                Store.bypass (fun () -> compile_app p c))
           in
           Alcotest.(check string)
             (str "%s/%s: compiler deterministic" a.Reg.name c)
@@ -512,15 +518,16 @@ let test_parallel_shared_cache_deterministic () =
       (List.init 15 (fun i -> i))
   in
   Store.set_enabled false;
-  let baseline =
-    Reserve.Pipeline.compile_batch ~rbits:60 ~wbits:30 progs
-    |> List.map (Result.map print_managed)
+  let one p =
+    match compile_full p with
+    | m -> Ok (print_managed m)
+    | exception e -> Error (Printexc.to_string e)
   in
+  let baseline = List.map one progs in
   fresh_cache ();
   let pooled =
     Fhe_par.Pool.with_pool ~domains:4 (fun pool ->
-        Reserve.Pipeline.compile_batch ~pool ~rbits:60 ~wbits:30 progs)
-    |> List.map (Result.map print_managed)
+        Fhe_par.Pool.map pool one progs)
   in
   List.iteri
     (fun i (b, c) ->
@@ -585,6 +592,7 @@ let () =
       ( "store",
         [
           t "memory hit serves the same plan" test_store_memory_hit;
+          t "keys pinned to the stored recipes" test_store_keys_pinned;
           t "bypass hides the store" test_store_bypass;
           t "disabled store holds nothing" test_store_disabled;
           t "poisoned disk entry recomputed" test_store_poisoned_recompute;

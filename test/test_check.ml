@@ -18,6 +18,7 @@ module Progen = Fhe_sim.Progen
 module Faults = Fhe_sim.Faults
 module Diag = Reserve.Diag
 module Reg = Fhe_apps.Registry
+module SReg = Fhe_strategy.Registry
 
 let str = Format.asprintf
 
@@ -54,8 +55,12 @@ let prog_mul_chain () =
   let m2 = Builder.mul b m1 x in
   Builder.finish b ~outputs:[ Builder.mul b m2 y ]
 
-let compile_full ?(wbits = 30) p =
-  Reserve.Pipeline.compile ~variant:`Full ~rbits:60 ~wbits p
+let compile ?(wbits = 30) name p =
+  SReg.compile (SReg.get_exn name)
+    (Fhe_strategy.Strategy.config ~rbits:60 ~wbits ())
+    p
+
+let compile_full ?wbits p = compile ?wbits "reserve-full" p
 
 (* ----------------------------------------------------------------- *)
 (* oracle                                                            *)
@@ -98,15 +103,12 @@ let test_oracle_flags_wrong_program () =
 let test_invariants_clean_on_pipeline_output () =
   List.iter
     (fun variant ->
-      let m =
-        Reserve.Pipeline.compile ~variant ~rbits:60 ~wbits:30
-          (prog_mul_chain ())
-      in
+      let m = compile variant (prog_mul_chain ()) in
       let vs = Invariants.check m in
       Alcotest.(check int)
         (str "variant clean, got %d violation(s)" (List.length vs))
         0 (List.length vs))
-    [ `Ba; `Ra; `Full ]
+    [ "reserve-ba"; "reserve-ra"; "reserve-full" ]
 
 let test_invariants_flag_corruption () =
   let m = compile_full (prog_mul_chain ()) in
@@ -212,6 +214,13 @@ let test_differential_small_apps () =
       check_pins a.Reg.name r)
     Reg.small
 
+(* the three reserve passes called directly *)
+let reserve_passes ~redistribute ~hoist p =
+  let prm = Reserve.Rtype.params ~rbits:60 ~wbits:30 in
+  let order = Reserve.Ordering.run prm p in
+  Reserve.Placement.run ~hoist p
+    (Reserve.Allocation.run prm ~redistribute ~order p)
+
 (* The LeNets are too large to push through the interpreter here (the
    CLI run `fhec check --apps` covers the oracle for them); compile
    under every compiler and pin legality, the reserve lemmas and L. *)
@@ -229,16 +238,9 @@ let test_differential_lenet () =
             fun p ->
               (Fhe_hecate.Hecate.compile ~iterations:10 ~rbits:60 ~wbits:30 p)
                 .Fhe_hecate.Hecate.managed );
-          ( "reserve-ba",
-            fun p -> Reserve.Pipeline.compile ~variant:`Ba ~rbits:60 ~wbits:30 p
-          );
-          ( "reserve-ra",
-            fun p -> Reserve.Pipeline.compile ~variant:`Ra ~rbits:60 ~wbits:30 p
-          );
-          ( "reserve-full",
-            fun p ->
-              Reserve.Pipeline.compile ~variant:`Full ~rbits:60 ~wbits:30 p )
-        ]
+          ("reserve-ba", reserve_passes ~redistribute:false ~hoist:false);
+          ("reserve-ra", reserve_passes ~redistribute:true ~hoist:false);
+          ("reserve-full", reserve_passes ~redistribute:true ~hoist:true) ]
       in
       let entry_level cname =
         let m = (List.assoc cname direct_compiles) p in

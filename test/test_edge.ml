@@ -47,13 +47,13 @@ let test_identity_program () =
       Helpers.check_valid m;
       Alcotest.(check int) "one level suffices" 1 (Managed.input_level m))
     [ Fhe_eva.Eva.compile ~rbits:60 ~wbits:20 p;
-      Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p ]
+      Helpers.compile ~rbits:60 ~wbits:20 p ]
 
 let test_plain_only_program () =
   let b = Builder.create ~n_slots:4 () in
   let c = Builder.add b (Builder.const b 1.0) (Builder.const b 2.0) in
   let p = Builder.finish b ~outputs:[ c ] in
-  let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p in
+  let m = Helpers.compile ~rbits:60 ~wbits:20 p in
   Helpers.check_valid m;
   let out = (Fhe_sim.Interp.run m ~inputs:[]).(0) in
   Alcotest.(check (float 1e-9)) "3.0" 3.0 out.Fhe_sim.Interp.data.(0)
@@ -63,7 +63,7 @@ let test_same_output_twice () =
   let x = Builder.input b "x" in
   let s = Builder.square b x in
   let p = Builder.finish b ~outputs:[ s; s ] in
-  let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p in
+  let m = Helpers.compile ~rbits:60 ~wbits:20 p in
   Helpers.check_valid m;
   let outs = Fhe_sim.Interp.run m ~inputs:[ ("x", [| 2.0 |]) ] in
   Alcotest.(check int) "two outputs" 2 (Array.length outs);
@@ -78,7 +78,7 @@ let test_deep_square_tower () =
   let p = Builder.finish b ~outputs:[ tower x 6 ] in
   List.iter
     (fun w ->
-      let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:w p in
+      let m = Helpers.compile ~rbits:60 ~wbits:w p in
       Helpers.check_valid m;
       Helpers.check_equivalent p m [ ("x", [| 0.9; 1.0; -0.95; 0.1 |]) ])
     [ 15; 30; 45 ]
@@ -97,7 +97,7 @@ let test_compilers_deterministic () =
   let a, b = twice (fun () -> Fhe_eva.Eva.compile ~rbits:60 ~wbits:25 g.Gen.prog) in
   Alcotest.(check string) "eva deterministic" a b;
   let a, b =
-    twice (fun () -> Reserve.Pipeline.compile ~rbits:60 ~wbits:25 g.Gen.prog)
+    twice (fun () -> Helpers.compile ~rbits:60 ~wbits:25 g.Gen.prog)
   in
   Alcotest.(check string) "reserve deterministic" a b
 

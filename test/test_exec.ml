@@ -24,7 +24,8 @@
      like a per-op run, and 24 rotations from one hoist are at least
      2x as fast as 24 per-op rotations at n = 2^10, L = 12;
    - the special prime is never a chain prime, and plaintext rotation
-     by a negative amount works in Interp and Backend. *)
+     by a negative amount works in Interp and Backend;
+   - the bytes of an encrypt_det ciphertext are pinned by MD5. *)
 
 open Fhe_ir
 module Reg = Fhe_apps.Registry
@@ -424,17 +425,13 @@ let test_keyswitch_speedup () =
 (* ------------------------------------------------------------------ *)
 (* 8 apps x 5 compilers: decrypt-precision pins on the real backend *)
 
-let compilers =
-  [ (`Eva, "eva"); (`Hecate, "hecate"); (`Rsv `Ba, "reserve-ba");
-    (`Rsv `Ra, "reserve-ra"); (`Rsv `Full, "reserve-full") ]
+let compilers = Fhe_strategy.Registry.names ()
 
-let compile_with c p ~xmax_bits =
-  match c with
-  | `Eva -> Fhe_eva.Eva.compile ~xmax_bits ~rbits ~wbits p
-  | `Hecate ->
-      (Fhe_hecate.Hecate.compile ~iterations:60 ~xmax_bits ~rbits ~wbits p)
-        .Fhe_hecate.Hecate.managed
-  | `Rsv variant -> Reserve.Pipeline.compile ~variant ~xmax_bits ~rbits ~wbits p
+let compile_with name p ~xmax_bits =
+  Fhe_strategy.Registry.compile
+    (Fhe_strategy.Registry.get_exn name)
+    (Fhe_strategy.Strategy.config ~xmax_bits ~iterations:60 ~rbits ~wbits ())
+    p
 
 let max_err refs got =
   let worst = ref 0.0 in
@@ -464,8 +461,8 @@ let test_precision_pins () =
       let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
       let refs = Fhe_sim.Interp.run_reference p ~inputs in
       List.iter
-        (fun (c, label) ->
-          let m = compile_with c p ~xmax_bits in
+        (fun label ->
+          let m = compile_with label p ~xmax_bits in
           Validator.check_exn m;
           let got, st = Ckks.Backend.run_timed m ~inputs in
           let err = max_err refs got in
@@ -513,7 +510,7 @@ let test_pool_byte_identity () =
       let p = a.Reg.exec_build () in
       let inputs = a.Reg.exec_inputs ~seed:42 in
       let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-      let m = Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p in
+      let m = compile_with "reserve-full" p ~xmax_bits in
       let seq = Ckks.Backend.run m ~inputs in
       let par =
         Fhe_par.Pool.with_pool ~domains:4 (fun pool ->
@@ -702,7 +699,7 @@ let test_backend_hoisting_bit_identical () =
       let p = a.Reg.exec_build () in
       let inputs = a.Reg.exec_inputs ~seed:42 in
       let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-      let m = Reserve.Pipeline.compile ~xmax_bits ~rbits ~wbits p in
+      let m = compile_with "reserve-full" p ~xmax_bits in
       let ctx =
         Ckks.Context.make
           ~n:(2 * Program.n_slots m.Managed.prog)
@@ -740,7 +737,7 @@ let test_backend_hoisting_bit_identical () =
        ret %5\n"
   in
   let inputs = [ ("x", Array.init 16 (fun i -> 0.05 *. float_of_int i)) ] in
-  let m = Reserve.Pipeline.compile ~xmax_bits:2 ~rbits ~wbits p in
+  let m = compile_with "reserve-full" p ~xmax_bits:2 in
   let ctx =
     Ckks.Context.make ~n:32 ~levels:(Managed.max_level m) ~level_bits:rbits ()
   in
@@ -842,7 +839,7 @@ let test_plain_rotate_negative () =
   in
   let refs = Fhe_sim.Interp.run_reference p ~inputs in
   if refs.(1) <> rotated then Alcotest.fail "Interp: rotate by -1 is not right";
-  let m = Reserve.Pipeline.compile ~xmax_bits:4 ~rbits ~wbits p in
+  let m = compile_with "reserve-full" p ~xmax_bits:4 in
   let negative = ref false in
   Program.iteri
     (fun _ k ->
@@ -1114,6 +1111,28 @@ let test_serialize_trimmed_keys () =
             Alcotest.failf "slot %d: %g vs %g" i x expect)
         got
 
+(* The MD5 of a serialized encrypt_det ciphertext, pinned before
+   encryption stopped copying its fresh samples and the public key:
+   every ciphertext byte, at the top level and below it. *)
+let test_ciphertext_bytes_golden () =
+  List.iter
+    (fun (n, levels, level, digest) ->
+      let ctx = Ckks.Context.make ~n ~levels () in
+      let keys = Ckks.Keys.keygen ~seed:0x5EED ctx in
+      let nh = Ckks.Context.slot_count ctx in
+      let v = Array.init nh (fun i -> sin (float_of_int i) /. 2.0) in
+      let ct =
+        E.encrypt_det keys ~tag:7 ~level ~scale:(Fhe_util.Bits.pow2f 22) v
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "ciphertext bytes n=%d L=%d level %d" n levels level)
+        digest
+        (Digest.to_hex (Digest.bytes (Ckks.Serialize.ciphertext_to_bytes ct))))
+    [ (64, 3, 3, "256fc4f2783b9a34ff5d85c36a1a2eba");
+      (64, 3, 1, "5c1e437b2fdc7ce3ab5fe464c208099b");
+      (1024, 12, 12, "f883a933bfb6899bc337a77c628c5f95");
+      (1024, 12, 5, "f520e710743048a8d50fc01943b57996") ]
+
 let suite =
   [ Alcotest.test_case "NTT bit-exact vs Reference (all primes, 2^4..2^12)"
       `Slow test_ntt_bit_exact;
@@ -1170,6 +1189,8 @@ let suite =
     Alcotest.test_case "key bytes pinned (MD5, n=2^6/L=3 and 2^10/L=12)"
       `Quick test_key_bytes_golden;
     Alcotest.test_case "budgeted (trimmed) key set round-trips and evaluates"
-      `Quick test_serialize_trimmed_keys ]
+      `Quick test_serialize_trimmed_keys;
+    Alcotest.test_case "ciphertext bytes pinned (MD5, encrypt_det)" `Quick
+      test_ciphertext_bytes_golden ]
 
 let () = Alcotest.run "fhe-exec" [ ("exec", suite) ]

@@ -236,42 +236,42 @@ let deep_program depth =
 
 let test_bootplan_fits_budget () =
   let p = deep_program 12 in
-  match Reserve.Bootplan.plan ~max_level:4 ~rbits:60 ~wbits:30 p with
+  match Fhe_strategy.Bootplan.plan ~max_level:4 ~rbits:60 ~wbits:30 p with
   | Error e -> Alcotest.fail e
   | Ok plan ->
       Alcotest.(check bool) "needs several segments" true
-        (List.length plan.Reserve.Bootplan.segments >= 2);
+        (List.length plan.Fhe_strategy.Bootplan.segments >= 2);
       Alcotest.(check bool) "budget respected" true
-        (plan.Reserve.Bootplan.max_segment_level <= 4);
+        (plan.Fhe_strategy.Bootplan.max_segment_level <= 4);
       Alcotest.(check bool) "bootstraps counted" true
-        (plan.Reserve.Bootplan.bootstraps >= List.length plan.Reserve.Bootplan.segments - 1);
+        (plan.Fhe_strategy.Bootplan.bootstraps >= List.length plan.Fhe_strategy.Bootplan.segments - 1);
       Alcotest.(check bool) "many SM invocations, little SM time" true
-        (plan.Reserve.Bootplan.sm_invocations >= 8)
+        (plan.Fhe_strategy.Bootplan.sm_invocations >= 8)
 
 let test_bootplan_single_segment_when_shallow () =
   let p = deep_program 2 in
-  match Reserve.Bootplan.plan ~max_level:10 ~rbits:60 ~wbits:30 p with
+  match Fhe_strategy.Bootplan.plan ~max_level:10 ~rbits:60 ~wbits:30 p with
   | Error e -> Alcotest.fail e
   | Ok plan ->
       Alcotest.(check int) "one segment" 1
-        (List.length plan.Reserve.Bootplan.segments);
-      Alcotest.(check int) "no bootstraps" 0 plan.Reserve.Bootplan.bootstraps;
-      Alcotest.(check (list int)) "no cuts" [] plan.Reserve.Bootplan.cuts
+        (List.length plan.Fhe_strategy.Bootplan.segments);
+      Alcotest.(check int) "no bootstraps" 0 plan.Fhe_strategy.Bootplan.bootstraps;
+      Alcotest.(check (list int)) "no cuts" [] plan.Fhe_strategy.Bootplan.cuts
 
 let test_bootplan_impossible () =
   let p = deep_program 6 in
   Alcotest.(check bool) "budget of one level cannot fit a square" true
-    (Result.is_error (Reserve.Bootplan.plan ~max_level:1 ~rbits:60 ~wbits:45 p))
+    (Result.is_error (Fhe_strategy.Bootplan.plan ~max_level:1 ~rbits:60 ~wbits:45 p))
 
 let test_bootplan_segments_valid () =
   let p = deep_program 9 in
-  match Reserve.Bootplan.plan ~max_level:3 ~rbits:60 ~wbits:25 p with
+  match Fhe_strategy.Bootplan.plan ~max_level:3 ~rbits:60 ~wbits:25 p with
   | Error e -> Alcotest.fail e
   | Ok plan ->
-      List.iter Helpers.check_valid plan.Reserve.Bootplan.segments;
+      List.iter Helpers.check_valid plan.Fhe_strategy.Bootplan.segments;
       Alcotest.(check bool) "latency includes bootstrap cost" true
-        (plan.Reserve.Bootplan.total_latency_us
-        >= float_of_int plan.Reserve.Bootplan.bootstraps *. 1e6)
+        (plan.Fhe_strategy.Bootplan.total_latency_us
+        >= float_of_int plan.Fhe_strategy.Bootplan.bootstraps *. 1e6)
 
 let suite =
   [ Alcotest.test_case "parser: basic" `Quick test_parse_basic;

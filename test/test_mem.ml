@@ -393,18 +393,13 @@ let test_ctstore_poisoned () =
 (* ------------------------------------------------------------------ *)
 (* backend: byte-identity across scheduling / pools / budgets          *)
 
-let compilers =
-  [ (`Eva, "eva"); (`Hecate, "hecate"); (`Rsv `Ba, "reserve-ba");
-    (`Rsv `Ra, "reserve-ra"); (`Rsv `Full, "reserve-full") ]
+let compilers = Fhe_strategy.Registry.names ()
 
-let compile_with c p ~xmax_bits =
-  match c with
-  | `Eva -> Fhe_eva.Eva.compile ~xmax_bits ~rbits ~wbits p
-  | `Hecate ->
-      (Fhe_hecate.Hecate.compile ~iterations:60 ~xmax_bits ~rbits ~wbits p)
-        .Fhe_hecate.Hecate.managed
-  | `Rsv variant ->
-      Reserve.Pipeline.compile ~variant ~xmax_bits ~rbits ~wbits p
+let compile_with name p ~xmax_bits =
+  Fhe_strategy.Registry.compile
+    (Fhe_strategy.Registry.get_exn name)
+    (Fhe_strategy.Strategy.config ~xmax_bits ~iterations:60 ~rbits ~wbits ())
+    p
 
 let check_bitwise ~what a b =
   Array.iteri
@@ -435,8 +430,8 @@ let test_sched_identity_all_apps () =
       let inputs = a.Reg.exec_inputs ~seed:42 in
       let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
       List.iter
-        (fun (c, label) ->
-          let m = compile_with c p ~xmax_bits in
+        (fun label ->
+          let m = compile_with label p ~xmax_bits in
           Validator.check_exn m;
           let off = Ckks.Backend.run ~sched:false m ~inputs in
           let on1 = Ckks.Backend.run m ~inputs in
@@ -455,7 +450,7 @@ let test_mem_stats_pool_independent () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let _, st1 = Ckks.Backend.run_timed m ~inputs in
   let _, st4 =
     Fhe_par.Pool.with_pool ~domains:4 (fun pool ->
@@ -473,7 +468,7 @@ let test_backend_budget_identity () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let free, st_free = Ckks.Backend.run_timed m ~inputs in
   let tight, st_tight =
     Ckks.Backend.run_timed ~mem_budget:tight_ct_budget
@@ -495,7 +490,7 @@ let test_backend_spill_fault_recomputes () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let free = Ckks.Backend.run m ~inputs in
   (* every spilled entry is "lost": reloads must all fail over to
      deterministic recomputation *)
@@ -521,7 +516,7 @@ let test_tensor_batched_spills () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let free = Ckks.Backend.run m ~inputs in
   let tight, st =
     Ckks.Backend.run_timed ~mem_budget:tight_ct_budget
@@ -538,7 +533,7 @@ let test_backend_key_budget_identity () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let free = Ckks.Backend.run m ~inputs in
   let lean, st =
     Ckks.Backend.run_timed
@@ -567,7 +562,7 @@ let test_lenet_peak_drop () =
   let p = a.Reg.exec_build () in
   let inputs = a.Reg.exec_inputs ~seed:42 in
   let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-  let m = compile_with (`Rsv `Full) p ~xmax_bits in
+  let m = compile_with "reserve-full" p ~xmax_bits in
   let _, st = Ckks.Backend.run_timed m ~inputs in
   let mem = st.Ckks.Backend.mem in
   if not mem.Ckks.Backend.reordered then

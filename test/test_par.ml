@@ -208,7 +208,7 @@ let test_timer_measures_work () =
     (Float.is_finite ms && ms >= 0.0)
 
 (* ----------------------------------------------------------------- *)
-(* Pipeline.compile_batch                                             *)
+(* Registry.compile over a pool                                       *)
 
 let fingerprint (m : Fhe_ir.Managed.t) =
   ( Fhe_ir.Program.ops m.Fhe_ir.Managed.prog,
@@ -216,17 +216,24 @@ let fingerprint (m : Fhe_ir.Managed.t) =
     m.Fhe_ir.Managed.scale,
     m.Fhe_ir.Managed.level )
 
+let compile_batch ?pool progs =
+  let reserve = Fhe_strategy.Registry.get_exn "reserve-full" in
+  let cfg = Fhe_strategy.Strategy.config ~rbits:60 ~wbits:30 () in
+  let one p =
+    match Fhe_strategy.Registry.compile reserve cfg p with
+    | m -> Ok m
+    | exception e -> Error (Printexc.to_string e)
+  in
+  match pool with
+  | None -> List.map one progs
+  | Some pool -> Pool.map pool one progs
+
 let test_compile_batch_matches_sequential () =
   let progs =
     List.init 6 (fun i -> (Progen.make ~size:20 (100 + i)).Progen.prog)
   in
-  let seq =
-    Reserve.Pipeline.compile_batch ~rbits:60 ~wbits:30 progs
-  in
-  let par =
-    Pool.with_pool ~domains:4 (fun pool ->
-        Reserve.Pipeline.compile_batch ~pool ~rbits:60 ~wbits:30 progs)
-  in
+  let seq = compile_batch progs in
+  let par = Pool.with_pool ~domains:4 (fun pool -> compile_batch ~pool progs) in
   Alcotest.(check int) "same length" (List.length seq) (List.length par);
   List.iter2
     (fun a b ->

@@ -108,9 +108,9 @@ let test_redistribution_net_win () =
     let g = Gen.make seed in
     let cost v =
       Fhe_cost.Model.estimate
-        (Reserve.Pipeline.compile ~variant:v ~rbits:60 ~wbits:20 g.Gen.prog)
+        (Helpers.compile ~strategy:v ~rbits:60 ~wbits:20 g.Gen.prog)
     in
-    let ba = cost `Ba and ra = cost `Ra in
+    let ba = cost "reserve-ba" and ra = cost "reserve-ra" in
     if ra < ba -. 1e-6 then incr better;
     if ra > ba +. 1e-6 then incr worse;
     net := !net +. (ba -. ra)
@@ -121,10 +121,10 @@ let test_redistribution_net_win () =
 let test_placement_paper_costs () =
   (* Fig. 2c = 353, Fig. 2d = 335 (units of 100µs) *)
   let p, _ = Helpers.paper_example () in
-  let ra = Reserve.Pipeline.compile ~variant:`Ra ~rbits:60 ~wbits:20 p in
+  let ra = Helpers.compile ~strategy:"reserve-ra" ~rbits:60 ~wbits:20 p in
   Alcotest.(check (float 1.0)) "RA (Fig 2c)" 352.5
     (Fhe_cost.Model.estimate ra /. 100.0);
-  let full = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p in
+  let full = Helpers.compile ~rbits:60 ~wbits:20 p in
   Alcotest.(check (float 1.0)) "full (Fig 2d)" 334.4
     (Fhe_cost.Model.estimate full /. 100.0);
   Alcotest.(check int) "hoist merged one rescale"
@@ -135,14 +135,14 @@ let test_placement_semantics_paper () =
   let p, _ = Helpers.paper_example () in
   List.iter
     (fun variant ->
-      let m = Reserve.Pipeline.compile ~variant ~rbits:60 ~wbits:20 p in
+      let m = Helpers.compile ~strategy:variant ~rbits:60 ~wbits:20 p in
       Helpers.check_valid m;
       Helpers.check_equivalent p m Helpers.paper_inputs)
-    [ `Ba; `Ra; `Full ]
+    [ "reserve-ba"; "reserve-ra"; "reserve-full" ]
 
 let test_hoist_idempotent_on_hoisted () =
   let p, _ = Helpers.paper_example () in
-  let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p in
+  let m = Helpers.compile ~rbits:60 ~wbits:20 p in
   let m' = Reserve.Placement.hoist m in
   Alcotest.(check int) "no further rewrites" (Program.n_ops m.Managed.prog)
     (Program.n_ops m'.Managed.prog)
@@ -152,7 +152,7 @@ let prop_pipeline_valid_and_equivalent =
     ~name:"reserve pipeline: legal + semantics preserved (random)" ~count:60
     QCheck.small_int (fun seed ->
       let g = Gen.make seed in
-      let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 g.Gen.prog in
+      let m = Helpers.compile ~rbits:60 ~wbits:20 g.Gen.prog in
       Helpers.check_valid m;
       Helpers.check_equivalent g.Gen.prog m g.Gen.inputs;
       true)
@@ -163,7 +163,7 @@ let prop_pipeline_waterline_sweep =
     QCheck.(pair small_int (int_range 15 45))
     (fun (seed, w) ->
       let g = Gen.make seed in
-      let m = Reserve.Pipeline.compile ~rbits:60 ~wbits:w g.Gen.prog in
+      let m = Helpers.compile ~rbits:60 ~wbits:w g.Gen.prog in
       Helpers.check_valid m;
       Helpers.check_equivalent g.Gen.prog m g.Gen.inputs;
       true)
@@ -174,9 +174,9 @@ let prop_ablation_ordering =
       let g = Gen.make seed in
       let cost v =
         Fhe_cost.Model.estimate
-          (Reserve.Pipeline.compile ~variant:v ~rbits:60 ~wbits:20 g.Gen.prog)
+          (Helpers.compile ~strategy:v ~rbits:60 ~wbits:20 g.Gen.prog)
       in
-      let ra = cost `Ra and full = cost `Full in
+      let ra = cost "reserve-ra" and full = cost "reserve-full" in
       (* hoisting only applies positive-benefit rewrites in the very
          cost model used here, so it can never regress *)
       full <= ra +. 1e-6)
@@ -190,7 +190,7 @@ let prop_ablation_ordering =
 
 let test_xmax_headroom () =
   let p, _ = Helpers.paper_example () in
-  let roomy = Reserve.Pipeline.compile ~xmax_bits:50 ~rbits:60 ~wbits:20 p in
+  let roomy = Helpers.compile ~xmax_bits:50 ~rbits:60 ~wbits:20 p in
   Helpers.check_valid roomy;
   Program.iteri
     (fun i _ ->
@@ -199,14 +199,20 @@ let test_xmax_headroom () =
           (Managed.reserve roomy i >= 50))
     roomy.Managed.prog
 
+(* the passes run directly: the registry's reserve strategies keep the
+   paper's eager input upscale *)
+let compile_lazy ~rbits ~wbits p =
+  let prm = Reserve.Rtype.params ~rbits ~wbits in
+  let order = Reserve.Ordering.run prm p in
+  let alloc = Reserve.Allocation.run prm ~order p in
+  Reserve.Placement.run ~eager_input_upscale:false p alloc
+
 let test_lazy_input_upscale () =
   (* keeping inputs at the waterline lets coercions ride modswitches:
      on the paper example the plan improves from 335 to ~315 *)
   let p, _ = Helpers.paper_example () in
-  let eager = Reserve.Pipeline.compile ~rbits:60 ~wbits:20 p in
-  let lazy_m =
-    Reserve.Pipeline.compile ~eager_input_upscale:false ~rbits:60 ~wbits:20 p
-  in
+  let eager = Helpers.compile ~rbits:60 ~wbits:20 p in
+  let lazy_m = compile_lazy ~rbits:60 ~wbits:20 p in
   Helpers.check_valid lazy_m;
   Helpers.check_equivalent p lazy_m Helpers.paper_inputs;
   Alcotest.(check bool) "lazy beats eager here" true
@@ -218,23 +224,24 @@ let prop_lazy_input_upscale_valid =
   QCheck.Test.make ~name:"lazy input upscaling: legal + equivalent (random)"
     ~count:40 QCheck.small_int (fun seed ->
       let g = Gen.make seed in
-      let m =
-        Reserve.Pipeline.compile ~eager_input_upscale:false ~rbits:60
-          ~wbits:20 g.Gen.prog
-      in
+      let m = compile_lazy ~rbits:60 ~wbits:20 g.Gen.prog in
       Helpers.check_valid m;
       Helpers.check_equivalent g.Gen.prog m g.Gen.inputs;
       true)
 
 let test_stats_reported () =
   let p, _ = Helpers.paper_example () in
-  let _, stats = Reserve.Pipeline.compile_with_stats ~rbits:60 ~wbits:20 p in
+  let module St = Fhe_strategy.Strategy in
+  let _, ph =
+    St.compile_with_phases
+      (Fhe_strategy.Registry.get_exn "reserve-full")
+      (Helpers.config ~rbits:60 ~wbits:20 ())
+      p
+  in
   Alcotest.(check bool) "total = sum of phases" true
     (Float.abs
-       (stats.Reserve.Pipeline.total_ms
-       -. (stats.Reserve.Pipeline.ordering_ms
-          +. stats.Reserve.Pipeline.allocation_ms
-          +. stats.Reserve.Pipeline.placement_ms))
+       (ph.St.total_ms
+       -. (ph.St.analyze_ms +. ph.St.annotate_ms +. ph.St.place_ms))
     < 1e-9)
 
 let suite =

@@ -2,7 +2,7 @@
    fallback chain, and the fault-injection classes. *)
 
 open Fhe_ir
-module P = Reserve.Pipeline
+module R = Fhe_strategy.Registry
 
 (* ------------------------------------------------------------------ *)
 (* compile_safe is total: never raises, and a success is validated and
@@ -13,12 +13,12 @@ let prop_compile_safe_total =
     ~count:60 QCheck.small_int (fun seed ->
       let g = Gen.make seed in
       match
-        P.compile_safe ~oracle_inputs:g.Gen.inputs ~rbits:60 ~wbits:25
+        Helpers.compile_safe ~oracle_inputs:g.Gen.inputs ~rbits:60 ~wbits:25
           g.Gen.prog
       with
       | Ok o ->
-          o.P.fallbacks = []
-          && Result.is_ok (Validator.check o.P.managed)
+          o.R.fallbacks = []
+          && Result.is_ok (Validator.check o.R.managed)
       | Error _ -> false
       | exception _ -> false)
 
@@ -28,12 +28,12 @@ let prop_chain_terminates =
     ~count:30 QCheck.small_int (fun seed ->
       let g = Gen.make seed in
       match
-        P.compile_safe ~waterline_steps:[ 5; 10 ] ~rbits:60 ~wbits:100
-          ~oracle_inputs:g.Gen.inputs g.Gen.prog
+        Helpers.compile_safe ~rbits:60 ~wbits:100 ~oracle_inputs:g.Gen.inputs
+          g.Gen.prog
       with
-      | Ok o -> List.length o.P.fallbacks <= 5
+      | Ok o -> List.length o.R.fallbacks <= 5
       | Error attempts ->
-          List.length attempts <= 6 && P.attempt_diags attempts <> []
+          List.length attempts <= 6 && R.attempt_diags attempts <> []
       | exception _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -44,46 +44,50 @@ let prop_chain_terminates =
 let test_fallback_fires () =
   let g = Gen.make 7 in
   match
-    P.compile_safe ~oracle_inputs:g.Gen.inputs ~waterline_steps:[ 5; 10 ]
-      ~rbits:60 ~wbits:62 g.Gen.prog
+    Helpers.compile_safe ~oracle_inputs:g.Gen.inputs ~rbits:60 ~wbits:62
+      g.Gen.prog
   with
   | Ok o ->
-      Alcotest.(check int) "four failed attempts" 4 (List.length o.P.fallbacks);
-      Alcotest.(check string) "eva engine" "eva" (P.engine_name o.P.engine);
-      Alcotest.(check int) "degraded waterline" 57 o.P.wbits;
-      Alcotest.(check bool) "degradation warning" true (o.P.warnings <> []);
-      Helpers.check_valid o.P.managed;
-      Helpers.check_equivalent g.Gen.prog o.P.managed g.Gen.inputs
+      Alcotest.(check int) "four failed attempts" 4 (List.length o.R.fallbacks);
+      Alcotest.(check string) "eva engine" "eva" o.R.strategy;
+      Alcotest.(check int) "degraded waterline" 57 o.R.wbits;
+      Alcotest.(check bool) "degradation warning" true (o.R.warnings <> []);
+      Helpers.check_valid o.R.managed;
+      Helpers.check_equivalent g.Gen.prog o.R.managed g.Gen.inputs
   | Error _ -> Alcotest.fail "expected the degraded EVA fallback to succeed"
 
 let test_strict_no_fallback () =
   let g = Gen.make 7 in
   match
-    P.compile_safe ~strict:true ~oracle_inputs:g.Gen.inputs ~rbits:60
+    Helpers.compile_safe ~strict:true ~oracle_inputs:g.Gen.inputs ~rbits:60
       ~wbits:62 g.Gen.prog
   with
   | Ok _ -> Alcotest.fail "strict mode must not degrade"
   | Error attempts ->
       Alcotest.(check int) "exactly one attempt" 1 (List.length attempts);
       Alcotest.(check bool) "carries diagnostics" true
-        (P.attempt_diags attempts <> [])
+        (R.attempt_diags attempts <> [])
 
 let test_chain_exhausted () =
   let g = Gen.make 3 in
   match
-    P.compile_safe ~waterline_steps:[] ~oracle_inputs:g.Gen.inputs ~rbits:60
-      ~wbits:100 g.Gen.prog
+    Helpers.compile_safe ~oracle_inputs:g.Gen.inputs ~rbits:60 ~wbits:100
+      g.Gen.prog
   with
   | Ok _ -> Alcotest.fail "waterline 100 > rbits can never compile"
   | Error attempts ->
-      (* Full, Ra, Ba, EVA — and nothing more *)
-      Alcotest.(check int) "whole chain attempted" 4 (List.length attempts);
+      (* Full, Ra, Ba, EVA, EVA at 95 and 90 — and nothing more *)
+      Alcotest.(check int) "whole chain attempted" 6 (List.length attempts);
+      Alcotest.(check (list string))
+        "links in chain order"
+        (R.chain @ [ "eva"; "eva" ])
+        (List.map (fun (a : R.attempt) -> a.R.strategy) attempts);
       List.iter
-        (fun (a : P.attempt) ->
+        (fun (a : R.attempt) ->
           Alcotest.(check bool)
-            (Printf.sprintf "diags for %s" (P.engine_name a.P.engine))
+            (Printf.sprintf "diags for %s" a.R.strategy)
             true
-            (Reserve.Diag.errors a.P.diags <> []))
+            (Reserve.Diag.errors a.R.diags <> []))
         attempts
 
 (* ------------------------------------------------------------------ *)
@@ -125,7 +129,7 @@ let prop_faults_rejected =
   QCheck.Test.make ~name:"all fault classes rejected by the validator"
     ~count:40 QCheck.small_int (fun seed ->
       let g = Gen.make seed in
-      let m = P.compile ~rbits:60 ~wbits:25 g.Gen.prog in
+      let m = Helpers.compile ~rbits:60 ~wbits:25 g.Gen.prog in
       List.for_all
         (fun cls ->
           match Fhe_sim.Faults.inject cls ~seed m with
@@ -137,7 +141,7 @@ let test_fault_classes_covered () =
   let hits = Hashtbl.create 4 in
   for seed = 0 to 39 do
     let g = Gen.make seed in
-    let m = P.compile ~rbits:60 ~wbits:25 g.Gen.prog in
+    let m = Helpers.compile ~rbits:60 ~wbits:25 g.Gen.prog in
     List.iter
       (fun cls ->
         match Fhe_sim.Faults.inject cls ~seed m with
@@ -155,7 +159,7 @@ let test_fault_classes_covered () =
 
 let test_faults_deterministic () =
   let g = Gen.make 5 in
-  let m = P.compile ~rbits:60 ~wbits:25 g.Gen.prog in
+  let m = Helpers.compile ~rbits:60 ~wbits:25 g.Gen.prog in
   List.iter
     (fun cls ->
       let a = Fhe_sim.Faults.inject cls ~seed:9 m in
@@ -177,7 +181,7 @@ let test_faults_deterministic () =
 
 let test_validator_reports_all () =
   let g = Gen.make 13 in
-  let m = P.compile ~rbits:60 ~wbits:25 g.Gen.prog in
+  let m = Helpers.compile ~rbits:60 ~wbits:25 g.Gen.prog in
   let sites = ref [] in
   Program.iteri
     (fun i k ->

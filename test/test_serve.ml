@@ -100,12 +100,15 @@ let test_wire_managed_round_trip () =
   let ok = ref 0 in
   for seed = 0 to 24 do
     match
-      Reserve.Pipeline.compile_safe ~rbits:60 ~wbits:30 (progen seed)
+      Fhe_strategy.Registry.compile_safe
+        (Fhe_strategy.Registry.get_exn "reserve-full")
+        (Fhe_strategy.Strategy.config ~rbits:60 ~wbits:30 ())
+        ~strict:false ~oracle:true (progen seed)
     with
     | Error _ -> ()
     | Ok o -> (
         incr ok;
-        let m = o.Reserve.Pipeline.managed in
+        let m = o.Fhe_strategy.Registry.managed in
         match Wire.decode_managed (Wire.encode_managed m) with
         | Error e ->
             Alcotest.fail

@@ -8,11 +8,13 @@
    - the registry's canonical order, names, aliases and capability
      flags are pinned (they order the differential report, the
      Benchjson entries, and the serve strategies reply);
-   - Strategy.cache_key mints byte-identical keys to the recipes the
-     pre-refactor drivers used, so existing on-disk stores keep
-     hitting across the refactor;
-   - each strategy's three-phase compile is byte-identical (Wire
-     encoding) to the legacy direct entry point it replaced;
+   - Strategy.cache_key mints the literal keys the stores have always
+     used, so existing on-disk stores keep hitting;
+   - each strategy's plan, through compile_uncached and through the
+     strict compile_safe, has the pinned MD5 of the legacy direct entry
+     point's Wire bytes;
+   - the `fhec compile` fallback chain prints the pinned goldens
+     (test/golden/compile-*, the dune rules);
    - the portfolio winner never scores worse than any leg, the report
      is identical at any pool width, and a warm store serves every leg
      from cache (verified via Store counters);
@@ -95,46 +97,41 @@ let test_registry_caps () =
   Alcotest.(check string) "ra caps" "redistributes,fallback" (caps "reserve-ra");
   Alcotest.(check string) "full caps" "redistributes,hoists,fallback"
     (caps "reserve-full");
-  (* only the reserve variants sit on the degradation chain *)
+  (* compile_safe walks the chain from exactly the reserve variants *)
   List.iter
     (fun s ->
-      let expect = (St.caps s).St.fallback_chain in
       Alcotest.(check bool)
-        (str "%s safe entry point" (St.name s))
-        expect
-        (St.safe s <> None))
-    (SReg.all ())
+        (str "%s starts the fallback chain" (St.name s))
+        (List.mem (St.name s) [ "reserve-full"; "reserve-ra"; "reserve-ba" ])
+        (St.caps s).St.fallback_chain)
+    (SReg.all ());
+  Alcotest.(check (list string)) "the fallback chain"
+    [ "reserve-full"; "reserve-ra"; "reserve-ba"; "eva" ]
+    SReg.chain
 
 (* ----------------------------------------------------------------- *)
-(* Cache keys: byte-identical to the pre-refactor recipes, so on-disk
-   stores built before the registry keep hitting after it *)
+(* Cache keys: literal pins of the keys the stores have always used
+   (captured before the registry became the only compile entry point),
+   so on-disk stores built earlier keep hitting *)
 
 let test_cache_keys_legacy () =
+  let cfg =
+    St.config ~xmax_bits:4 ~iterations:hecate_iters ~rbits:60 ~wbits:30 ()
+  in
   List.iter
-    (fun name ->
-      let p = prog name in
-      let cfg = St.config ~xmax_bits:4 ~iterations:hecate_iters ~rbits:60 ~wbits:30 () in
-      let key s = St.cache_key (SReg.get_exn s) cfg p in
-      Alcotest.(check string)
-        (str "%s: eva key matches eva_cache_key" name)
-        (Reserve.Pipeline.eva_cache_key ~xmax_bits:4 ~rbits:60 ~wbits:30 p)
-        (key "eva");
-      Alcotest.(check string)
-        (str "%s: hecate key matches the differential driver's recipe" name)
-        (Fhe_cache.Key.make ~digest:(Intern.digest p) ~compiler:"hecate"
-           ~rbits:60 ~wbits:30 ~xmax_bits:4
-           ~extra:[ string_of_int hecate_iters ]
-           ())
-        (key "hecate");
-      List.iter
-        (fun (vn, variant) ->
-          Alcotest.(check string)
-            (str "%s: %s key matches Pipeline.cache_key" name vn)
-            (Reserve.Pipeline.cache_key ~variant ~xmax_bits:4 ~rbits:60
-               ~wbits:30 p)
-            (key vn))
-        [ ("reserve-ba", `Ba); ("reserve-ra", `Ra); ("reserve-full", `Full) ])
-    [ "SF"; "HCD" ]
+    (fun (app, name, want) ->
+      Alcotest.(check string) (str "%s: %s key" app name) want
+        (St.cache_key (SReg.get_exn name) cfg (prog app)))
+    [ ("SF", "eva", "9154c85e713d9003a2d21d9e66190e0f");
+      ("SF", "hecate", "5e4c21261651c6cee79cc3053805b86b");
+      ("SF", "reserve-ba", "0c87df0459da5a7242774dd8795ddf60");
+      ("SF", "reserve-ra", "da8f2349475d6b1d78ba0267aca1e65d");
+      ("SF", "reserve-full", "186214068c5e20a28d383b267152be2f");
+      ("HCD", "eva", "85e0a6347408ccc3aacd879b4c413989");
+      ("HCD", "hecate", "88904bcd2d1758bcc77767cd0643adb1");
+      ("HCD", "reserve-ba", "75c9e733acc69ed84708325ad5ba0ae1");
+      ("HCD", "reserve-ra", "358cc7554ab27c2471e79d04deb9dd93");
+      ("HCD", "reserve-full", "24d3710f402ff4ff190df56f7e2d2bf5") ]
 
 let test_cache_key_hecate_default_budget () =
   let p = prog "SF" in
@@ -148,40 +145,49 @@ let test_cache_key_hecate_default_budget () =
     (St.cache_key (SReg.get_exn "hecate") cfg p)
 
 (* ----------------------------------------------------------------- *)
-(* Compile parity: the three-phase path is byte-identical to the legacy
-   direct entry points it replaced *)
+(* Compile parity: the MD5 of every plan's Wire bytes, pinned from the
+   direct entry points the registry replaced, through both the plain
+   and the resilient (strict) door *)
 
-let legacy_compile name p =
-  match name with
-  | "eva" -> Fhe_eva.Eva.compile ~rbits:60 ~wbits:30 p
-  | "hecate" ->
-      (Fhe_hecate.Hecate.compile ~iterations:hecate_iters ~rbits:60 ~wbits:30 p)
-        .Fhe_hecate.Hecate.managed
-  | "reserve-ba" ->
-      Store.bypass (fun () ->
-          Reserve.Pipeline.compile ~variant:`Ba ~rbits:60 ~wbits:30 p)
-  | "reserve-ra" ->
-      Store.bypass (fun () ->
-          Reserve.Pipeline.compile ~variant:`Ra ~rbits:60 ~wbits:30 p)
-  | "reserve-full" ->
-      Store.bypass (fun () ->
-          Reserve.Pipeline.compile ~variant:`Full ~rbits:60 ~wbits:30 p)
-  | other -> Alcotest.fail ("unknown legacy compiler " ^ other)
+let plan_md5 m = Digest.to_hex (Digest.string (managed_bytes m))
 
 let test_compile_parity () =
   let cfg = St.config ~iterations:hecate_iters ~rbits:60 ~wbits:30 () in
   List.iter
-    (fun app ->
-      let p = prog app in
-      List.iter
-        (fun s ->
-          let name = St.name s in
-          Alcotest.(check string)
-            (str "%s/%s: strategy compile byte-identical to legacy" app name)
-            (managed_bytes (legacy_compile name p))
-            (managed_bytes (SReg.compile_uncached s cfg p)))
-        (SReg.all ()))
-    [ "SF"; "HCD"; "LR"; "MLP" ]
+    (fun (app, name, want) ->
+      let p = prog app and s = SReg.get_exn name in
+      Alcotest.(check string)
+        (str "%s/%s: compile_uncached" app name)
+        want
+        (plan_md5 (SReg.compile_uncached s cfg p));
+      match
+        Store.bypass (fun () ->
+            SReg.compile_safe s cfg ~strict:true ~oracle:true p)
+      with
+      | Ok o ->
+          Alcotest.(check string) (str "%s/%s: compile_safe" app name) want
+            (plan_md5 o.SReg.managed)
+      | Error _ -> Alcotest.fail (str "%s/%s: compile_safe failed" app name))
+    [ ("SF", "eva", "13d9d0164fc11705d9facbac2ed8d0b2");
+      ("SF", "hecate", "13d9d0164fc11705d9facbac2ed8d0b2");
+      ("SF", "reserve-ba", "83ec38ec6fc963937b6e6b601d68dfbf");
+      ("SF", "reserve-ra", "83ec38ec6fc963937b6e6b601d68dfbf");
+      ("SF", "reserve-full", "6180f6c92b6502ef1ac4eeda4b3a8b5d");
+      ("HCD", "eva", "1488bdc355448234349adcbea5939173");
+      ("HCD", "hecate", "c8d05956357d279d55b96fef35420550");
+      ("HCD", "reserve-ba", "27f10398e04d72103a6bddc50602210e");
+      ("HCD", "reserve-ra", "27f10398e04d72103a6bddc50602210e");
+      ("HCD", "reserve-full", "18f9ab4b23e3258a268b8be54a12c9d8");
+      ("LR", "eva", "fabeee4d7f5dd79c607d0a7f9f1c03fc");
+      ("LR", "hecate", "61184def232892476069bccf08dae83b");
+      ("LR", "reserve-ba", "5a829b8208ba6ce40c405a136697c5b1");
+      ("LR", "reserve-ra", "9e594e95ce191d39c17623a44ceb38f8");
+      ("LR", "reserve-full", "9e594e95ce191d39c17623a44ceb38f8");
+      ("MLP", "eva", "e2ad995782bcdbe2cc8125c8cfbe2e40");
+      ("MLP", "hecate", "e2ad995782bcdbe2cc8125c8cfbe2e40");
+      ("MLP", "reserve-ba", "861ad647644dac221b146a36e7effbfb");
+      ("MLP", "reserve-ra", "861ad647644dac221b146a36e7effbfb");
+      ("MLP", "reserve-full", "b42fe8031c20184e993fbd120df2bd14") ]
 
 let test_compile_with_phases () =
   let p = prog "HCD" in
@@ -524,8 +530,6 @@ module Eva_two = struct
   let place (cfg : St.config) p () =
     Fhe_eva.Eva.compile ~xmax_bits:cfg.St.xmax_bits ~rbits:cfg.St.rbits
       ~wbits:cfg.St.wbits p
-
-  let safe = None
 end
 
 module Colliding = struct
