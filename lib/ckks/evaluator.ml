@@ -28,10 +28,16 @@ let encrypt_with (k : Keys.t) fresh ~level ~scale values =
     { p with Poly.level; data = Array.sub p.Poly.data 0 level }
   in
   let pb = rows k.Keys.pb and pa = rows k.Keys.pa in
-  { c0 = Poly.add ctx (Poly.add ctx (Poly.mul ctx pb u) e0) m;
-    c1 = Poly.add ctx (Poly.mul ctx pa u) e1;
-    level;
-    scale }
+  let pbu = Poly.mul ctx pb u and pau = Poly.mul ctx pa u in
+  let pbu_e0 = Poly.add ctx pbu e0 in
+  let ct =
+    { c0 = Poly.add ctx pbu_e0 m;
+      c1 = Poly.add ctx pau e1;
+      level;
+      scale }
+  in
+  List.iter (Poly.release ctx) [ m; u; e0; e1; pbu; pau; pbu_e0 ];
+  ct
 
 let encrypt (k : Keys.t) ~level ~scale values =
   encrypt_with k k.Keys.enc_sampler ~level ~scale values
@@ -93,13 +99,52 @@ let neg (k : Keys.t) a =
   let ctx = k.Keys.ctx in
   { a with c0 = Poly.neg ctx a.c0; c1 = Poly.neg ctx a.c1 }
 
+(* Splat plaintexts.  When every slot holds the same float c (a short
+   array counts after the encoder's +0.0 padding), the encoder's inverse
+   embedding is exact: its first butterfly stage writes 2c into the
+   first half and exact zeros into the second, each later stage does the
+   same within the first block, so slot 0 ends as c·nh and every other
+   slot as ±0, and the final 1/nh is a power of two.  The encoding is
+   therefore the constant polynomial m0 = round (c·scale), whose NTT is
+   [m0 mod q_r] in every cell of row r — a per-row scalar, with no
+   transform.  The residue comes from the encoder's own float-to-residue
+   rule, so the bits are those of the encoder path.  NaN, infinities
+   and a c·nh or c·scale that overflows stay on the encoder path. *)
+let splat_constant (ctx : Context.t) ~scale values =
+  let nh = Context.slot_count ctx in
+  let len = Array.length values in
+  let c = if len = nh then values.(0) else 0.0 in
+  let bits = Int64.bits_of_float c in
+  let rec uniform i =
+    i >= len
+    || (Int64.equal (Int64.bits_of_float values.(i)) bits && uniform (i + 1))
+  in
+  let m0 = Float.round (c *. scale) in
+  if
+    len <= nh && uniform 0
+    && Float.is_finite (c *. float_of_int nh)
+    && Float.is_finite m0
+  then Some m0
+  else None
+
 let add_plain (k : Keys.t) a values =
-  let m = encode_at k ~level:a.level ~scale:a.scale values in
-  { a with c0 = Poly.add k.Keys.ctx a.c0 m }
+  let ctx = k.Keys.ctx in
+  match splat_constant ctx ~scale:a.scale values with
+  | Some m0 ->
+      { a with c0 = Poly.add_scalar_fn ctx a.c0 (Poly.residue_of_float ctx m0) }
+  | None ->
+      let m = encode_at k ~level:a.level ~scale:a.scale values in
+      { a with c0 = Poly.add ctx a.c0 m }
 
 let sub_plain (k : Keys.t) a values =
-  let m = encode_at k ~level:a.level ~scale:a.scale values in
-  { a with c0 = Poly.sub k.Keys.ctx a.c0 m }
+  let ctx = k.Keys.ctx in
+  match splat_constant ctx ~scale:a.scale values with
+  | Some m0 ->
+      let neg pi = - Poly.residue_of_float ctx m0 pi in
+      { a with c0 = Poly.add_scalar_fn ctx a.c0 neg }
+  | None ->
+      let m = encode_at k ~level:a.level ~scale:a.scale values in
+      { a with c0 = Poly.sub ctx a.c0 m }
 
 module A1 = Bigarray.Array1
 
@@ -123,12 +168,19 @@ module A1 = Bigarray.Array1
    NTT-domain automorphism is an exact gather, so accumulating the
    permuted digits of [c1] is bit for bit the key switch of
    [automorphism c1] — which lets one decomposition serve every
-   rotation of a ciphertext (hoisting).  Digits accumulate in fixed
-   order with exact modular adds, so the result is width-independent.
+   rotation of a ciphertext (hoisting).
 
-   The inner loops call nothing (see the note in poly.ml); the Barrett
-   product is inlined with its remainder in [0, 3q) folded into the
-   accumulator, so one [0, 4q) sum takes two branchless subtractions. *)
+   The multiply-accumulate is reduced lazily.  Digit and key cells are
+   canonical, so a product is at most (q-1)^2, and an accumulator cell
+   holding a canonical residue takes [room = (max_int - (q-1)) /
+   (q-1)^2] more products without overflow: 64 on a 28-bit chain row,
+   16 on the 29-bit special row.  So the inner loop is one multiply and
+   one add per cell and key polynomial, and the row folds back to
+   [0, q) only every [room] digits and once at the end — with the float
+   quotient of [Poly.of_float_coeffs], not a divide.  The folded value
+   is the exact sum mod q, whatever the grouping, so the result is the
+   one modular adds would give, at any pool width.  The inner loops call
+   nothing (see the note in poly.ml). *)
 
 type hoisted = Poly.t array
 
@@ -190,12 +242,29 @@ let accumulate (k : Keys.t) ?perm (digits : hoisted) (sk : Keys.switch_key) =
           @ Array.to_list sk.Keys.ka));
   Context.par_rows ctx (level + 1) (fun r ->
       let pi = if r < level then r else ctx.Context.levels in
-      let { Modarith.Barrett.p = q; mu; s1; s2 } =
-        Ntt.barrett (Context.plan ctx pi)
-      in
+      let q = Context.prime ctx pi in
       let two_q = 2 * q in
+      let qinv = 1.0 /. float_of_int q in
+      (* products of canonical residues are at most (q-1)^2, and a row
+         holding a canonical residue takes [room] more before max_int *)
+      let room = (max_int - (q - 1)) / ((q - 1) * (q - 1)) in
       let rb = acc_b.Poly.data.(r) and ra = acc_a.Poly.data.(r) in
+      (* back to [0, q) with the float quotient: below 2^62 it is off
+         by far less than one, so x - k·q lies in [-q, 2q) *)
+      let fold () =
+        for i = 0 to n - 1 do
+          let x = A1.unsafe_get rb i in
+          let v = x - (int_of_float (float_of_int x *. qinv) * q) in
+          let v = v + (two_q land (v asr 62)) - q in
+          A1.unsafe_set rb i (v + (q land (v asr 62)));
+          let x = A1.unsafe_get ra i in
+          let v = x - (int_of_float (float_of_int x *. qinv) * q) in
+          let v = v + (two_q land (v asr 62)) - q in
+          A1.unsafe_set ra i (v + (q land (v asr 62)))
+        done
+      in
       for j = 0 to level - 1 do
+        if j > 0 && j mod room = 0 then fold ();
         let dj = digits.(j).Poly.data.(r) in
         (* key rows: a key at any level >= [level] holds chain row r as
            its row r and the special row as its last row *)
@@ -206,18 +275,11 @@ let accumulate (k : Keys.t) ?perm (digits : hoisted) (sk : Keys.switch_key) =
           let d =
             A1.unsafe_get dj (if gather then A1.unsafe_get perm i else i)
           in
-          let xb = d * A1.unsafe_get kb i in
-          let xb = xb - ((((xb lsr s1) * mu) lsr s2) * q) in
-          let s = A1.unsafe_get rb i + xb - two_q in
-          let s = s + (two_q land (s asr 62)) - q in
-          A1.unsafe_set rb i (s + (q land (s asr 62)));
-          let xa = d * A1.unsafe_get ka i in
-          let xa = xa - ((((xa lsr s1) * mu) lsr s2) * q) in
-          let s = A1.unsafe_get ra i + xa - two_q in
-          let s = s + (two_q land (s asr 62)) - q in
-          A1.unsafe_set ra i (s + (q land (s asr 62)))
+          A1.unsafe_set rb i (A1.unsafe_get rb i + (d * A1.unsafe_get kb i));
+          A1.unsafe_set ra i (A1.unsafe_get ra i + (d * A1.unsafe_get ka i))
         done
-      done);
+      done;
+      fold ());
   let b = Poly.drop_last ctx acc_b and a = Poly.drop_last ctx acc_a in
   Poly.release ctx acc_b;
   Poly.release ctx acc_a;
@@ -251,11 +313,16 @@ let mul_plain (k : Keys.t) a ?scale values =
     | Some s -> s
     | None -> Fhe_util.Bits.pow2f (ctx.Context.level_bits / 2)
   in
-  let m = encode_at k ~level:a.level ~scale:pscale values in
-  { a with
-    c0 = Poly.mul ctx a.c0 m;
-    c1 = Poly.mul ctx a.c1 m;
-    scale = a.scale *. pscale }
+  let c0, c1 =
+    match splat_constant ctx ~scale:pscale values with
+    | Some m0 ->
+        let s = Poly.residue_of_float ctx m0 in
+        (Poly.mul_scalar_fn ctx a.c0 s, Poly.mul_scalar_fn ctx a.c1 s)
+    | None ->
+        let m = encode_at k ~level:a.level ~scale:pscale values in
+        (Poly.mul ctx a.c0 m, Poly.mul ctx a.c1 m)
+  in
+  { a with c0; c1; scale = a.scale *. pscale }
 
 let rescale (k : Keys.t) a =
   if a.level <= 1 then invalid_arg "Evaluator.rescale: bottom level";

@@ -40,9 +40,14 @@ val sub : Keys.t -> ct -> ct -> ct
 val neg : Keys.t -> ct -> ct
 
 val add_plain : Keys.t -> ct -> float array -> ct
-(** Add a plaintext vector, encoded at the ciphertext's scale/level. *)
+(** Add a plaintext vector, encoded at the ciphertext's scale/level.  A
+    splat — the same float in every slot, or a short array of [+0.0]
+    that the encoder pads with [+0.0] — encodes exactly to a constant
+    polynomial, so it is added as one residue per row without the
+    encoder, bit for bit what the encoder path gives (see DESIGN.md). *)
 
 val sub_plain : Keys.t -> ct -> float array -> ct
+(** Like {!add_plain}, subtracting. *)
 
 val mul : Keys.t -> ct -> ct -> ct
 (** Ciphertext multiplication including relinearization; scales
@@ -50,7 +55,9 @@ val mul : Keys.t -> ct -> ct -> ct
 
 val mul_plain : Keys.t -> ct -> ?scale:float -> float array -> ct
 (** Multiply by a plaintext encoded at [scale] (default [2^level_bits·½]
-    — pass the compiler's waterline for managed programs). *)
+    — pass the compiler's waterline for managed programs).  A splat (as
+    for {!add_plain}) multiplies each row by one residue, with no
+    encoding and no transform, bit for bit the encoder path. *)
 
 val rescale : Keys.t -> ct -> ct
 (** Drop the top chain prime; scale divides by that prime. *)

@@ -117,6 +117,29 @@ let of_coeff_array (ctx : Context.t) ~level ~special coeffs =
   done;
   t
 
+(* [x mod q] in [0, q) for an integer-valued float [x], exactly, given
+   [qinv] = 1/q: the one float-to-residue rule, for the encoder's
+   coefficients and the splat constants alike.  Below 2^53 the float
+   quotient x·(1/q) is off by far less than one, so its truncation is
+   within one of trunc (x/q): x − k·q lies in (−2q, 2q), and two
+   sign-mask steps give x mod q in [0, q).  Beyond that the exact
+   Float.rem takes over. *)
+let[@inline] float_residue ~q ~qinv x =
+  if Float.abs x < 0x1p53 then begin
+    let v = int_of_float x - (int_of_float (x *. qinv) * q) in
+    let v = v + ((2 * q) land (v asr 62)) - q in
+    v + (q land (v asr 62))
+  end
+  else begin
+    let qf = float_of_int q in
+    let v = Float.rem x qf in
+    int_of_float (if v < 0.0 then v +. qf else v)
+  end
+
+let residue_of_float (ctx : Context.t) x pi =
+  let q = Context.prime ctx pi in
+  float_residue ~q ~qinv:(1.0 /. float_of_int q) x
+
 let of_float_coeffs (ctx : Context.t) ~level coeffs =
   let n = ctx.Context.n in
   assert (Array.length coeffs = n);
@@ -124,25 +147,10 @@ let of_float_coeffs (ctx : Context.t) ~level coeffs =
   guard ctx "Poly.of_float_coeffs" [ t ];
   for r = 0 to level - 1 do
     let q = Context.prime ctx r in
-    let two_q = 2 * q in
-    let qf = float_of_int q in
-    let qinv = 1.0 /. qf in
+    let qinv = 1.0 /. float_of_int q in
     let row = t.data.(r) in
     for j = 0 to n - 1 do
-      let x = Array.unsafe_get coeffs j in
-      if Float.abs x < 0x1p53 then begin
-        (* the float quotient x·(1/q) is off by far less than one, so
-           its truncation is within one of trunc (x/q): x − k·q lies in
-           (−2q, 2q), and two sign-mask steps give x mod q in [0, q) —
-           what the exact Float.rem below computes *)
-        let v = int_of_float x - (int_of_float (x *. qinv) * q) in
-        let v = v + (two_q land (v asr 62)) - q in
-        A1.unsafe_set row j (v + (q land (v asr 62)))
-      end
-      else begin
-        let v = Float.rem x qf in
-        A1.unsafe_set row j (int_of_float (if v < 0.0 then v +. qf else v))
-      end
+      A1.unsafe_set row j (float_residue ~q ~qinv (Array.unsafe_get coeffs j))
     done
   done;
   t
@@ -227,6 +235,22 @@ let mul_scalar_fn (ctx : Context.t) a scalar_of =
     for j = 0 to n - 1 do
       let x = A1.unsafe_get ra j in
       let y = (x * s) - (((x * sp) lsr 31) * q) - q in
+      A1.unsafe_set ro j (y + (q land (y asr 62)))
+    done
+  done;
+  out
+
+let add_scalar_fn (ctx : Context.t) a scalar_of =
+  let out = alloc ctx ~level:a.level ~special:a.special ~ntt:a.ntt in
+  guard ctx "Poly.add_scalar_fn" [ a; out ];
+  let n = ctx.Context.n in
+  for r = 0 to rows a - 1 do
+    let pi = prime_index ctx a r in
+    let q = Context.prime ctx pi in
+    let s = Fhe_util.Bits.pos_rem (scalar_of pi) q in
+    let ra = a.data.(r) and ro = out.data.(r) in
+    for j = 0 to n - 1 do
+      let y = A1.unsafe_get ra j + s - q in
       A1.unsafe_set ro j (y + (q land (y asr 62)))
     done
   done;

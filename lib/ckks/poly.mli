@@ -50,7 +50,14 @@ val of_coeff_array : Context.t -> level:int -> special:bool -> int array -> t
 val of_float_coeffs : Context.t -> level:int -> float array -> t
 (** Residues of integer-valued float coefficients (rounded, scaled
     embeddings) in chain rows [0..level-1], coefficient form: row [i]
-    holds [x mod q_i] in [\[0, q_i)], exactly. *)
+    holds [x mod q_i] in [\[0, q_i)], exactly (by {!residue_of_float}'s
+    rule). *)
+
+val residue_of_float : Context.t -> float -> int -> int
+(** [residue_of_float ctx x pi] is [x mod q] in [\[0, q)] for the
+    integer-valued float [x] and [q] the prime at context index [pi],
+    exactly: the float-to-residue rule of {!of_float_coeffs}, for one
+    value. *)
 
 val to_ntt : Context.t -> t -> t
 (** No-op if already in NTT form. *)
@@ -79,6 +86,12 @@ val mul : Context.t -> t -> t -> t
 val mul_scalar_fn : Context.t -> t -> (int -> int) -> t
 (** Multiply row [i] by [scalar_of_prime_index i] (mod that prime);
     index [levels] means the special row. *)
+
+val add_scalar_fn : Context.t -> t -> (int -> int) -> t
+(** Add [scalar_of_prime_index i] (mod that prime) to every cell of row
+    [i]: a constant polynomial's contribution in NTT form, where the
+    constant sits in every cell.  Index [levels] means the special
+    row. *)
 
 val drop_last : ?keep:int -> Context.t -> t -> t
 (** Exact RNS division by the last basis prime with centered rounding —

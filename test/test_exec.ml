@@ -25,7 +25,12 @@
      2x as fast as 24 per-op rotations at n = 2^10, L = 12;
    - the special prime is never a chain prime, and plaintext rotation
      by a negative amount works in Interp and Backend;
-   - the bytes of an encrypt_det ciphertext are pinned by MD5. *)
+   - the bytes of an encrypt_det ciphertext are pinned by MD5, and so
+     are the decrypted float bits of all 8 registry apps under
+     reserve-full;
+   - the lazily reduced key-switch multiply-accumulate is bit-exact
+     where it folds in mid-sum (L = 17, 33, 65, worst-case products
+     included), and splat plaintexts give the encoder path's bits. *)
 
 open Fhe_ir
 module Reg = Fhe_apps.Registry
@@ -618,6 +623,134 @@ let test_rotate_hoisted_bit_exact () =
   | _ -> Alcotest.fail "rotate_hoisted accepted a decomposition at level 2"
   | exception Invalid_argument _ -> ()
 
+(* every cell of every row [q - 1], the largest canonical residue *)
+let top_poly ctx ~level ~special =
+  let p = P.zero ctx ~level ~special ~ntt:true in
+  Array.iteri
+    (fun r row ->
+      Ckks.Rvec.fill row (Ckks.Context.prime ctx (P.prime_index ctx p r) - 1))
+    p.P.data;
+  p
+
+(* Deep chains, where the lazily reduced multiply-accumulate folds in
+   mid-sum: the 29-bit special row folds every 16 digits (at L = 17
+   once, at L = 33 twice, at L = 65 four times) and the 28-bit chain
+   rows every 64 (at L = 65 once).  Key switch and hoisted rotation
+   against the Reference, at pool widths 1 and 4.  Random residues
+   leave the sums far from max_int, so a worst case goes first: [x] of
+   all [q - 1] in NTT form is the constant -1, whose every lifted digit
+   is [q_r - 1] in every cell, against a key of all [q_r - 1] — every
+   product is (q - 1)^2, and one product past the fold bound would
+   overflow. *)
+let test_deep_keyswitch_bit_exact () =
+  let n = 32 in
+  List.iter
+    (fun levels ->
+      let ctx = Ckks.Context.make ~n ~levels () in
+      Ckks.Context.set_arena ctx (Some (Ckks.Arena.create ~n));
+      let keys = Ckks.Keys.keygen ~rotations:[ 1 ] ctx in
+      let top = top_poly ctx ~level:levels ~special:true in
+      let worst =
+        { Ckks.Keys.kb = Array.make levels top; ka = Array.make levels top }
+      in
+      let x = top_poly ctx ~level:levels ~special:false in
+      let b, a = Ckks.Evaluator.key_switch keys x worst in
+      let b', a' = Ckks.Reference.Evaluator.key_switch keys x worst in
+      same_poly (Printf.sprintf "worst-case key_switch b L=%d" levels) b b';
+      same_poly (Printf.sprintf "worst-case key_switch a L=%d" levels) a a';
+      let g = Fhe_util.Prng.create (levels + 401) in
+      at_widths ctx (fun width ->
+          List.iter
+            (fun level ->
+              let tag what =
+                Printf.sprintf "%s L=%d level=%d -j%d" what levels level width
+              in
+              let x = random_poly g ctx ~level ~special:false ~ntt:true in
+              List.iter
+                (fun (name, sk) ->
+                  let b, a = Ckks.Evaluator.key_switch keys x sk in
+                  let b', a' = Ckks.Reference.Evaluator.key_switch keys x sk in
+                  same_poly (tag ("key_switch " ^ name ^ " b")) b b';
+                  same_poly (tag ("key_switch " ^ name ^ " a")) a a')
+                [ ("relin", Ckks.Keys.relin_key keys);
+                  ("galois", Ckks.Keys.galois_key keys 1) ];
+              let ct = random_ct g ctx ~level in
+              let h = E.hoist keys ct in
+              List.iter
+                (fun s ->
+                  same_ct
+                    (tag (Printf.sprintf "rotate_hoisted step=%d" s))
+                    (E.rotate_hoisted keys h ct s) (reference_rotate keys ct s))
+                [ 1; 3; -1 ];
+              E.release_hoisted keys h)
+            (List.sort_uniq compare [ 16; 17; levels ])))
+    [ 17; 33; 65 ]
+
+(* Splat plaintexts: a float array holding one value in every slot (a
+   short array: +0.0 after the encoder's padding) reaches add_plain,
+   sub_plain and mul_plain as a per-row scalar, without the encoder.
+   Every result must be the encoder path's, bit for bit: at each level,
+   for zeros of both signs, tiny constants, products c·scale on a .5
+   rounding boundary, around 2^52, and at or beyond 2^53 (the exact
+   Float.rem rule), at both plaintext scales mul_plain knows.  Arrays
+   that are not splats — non-uniform, short non-zero, a lone -0.0 — and
+   the non-finite ones must take the encoder and still match it. *)
+let test_splat_plaintexts () =
+  List.iter
+    (fun logn ->
+      let n = 1 lsl logn in
+      let nh = n / 2 in
+      let levels = 4 in
+      let ctx = Ckks.Context.make ~n ~levels () in
+      Ckks.Context.set_arena ctx (Some (Ckks.Arena.create ~n));
+      let keys = Ckks.Keys.keygen ctx in
+      let g = Fhe_util.Prng.create (logn + 907) in
+      let scale = Fhe_util.Bits.pow2f 22 in
+      (* the constant whose product with [scale] is [x], exactly *)
+      let at x = x /. scale in
+      let constants =
+        [ 0.0; -0.0; 1e-9; -1e-9; 1.0; -0.75; at 2.5; at (-2.5);
+          at 12345.5; at (-0.5); at (0x1p52 -. 0.5); at (-.(0x1p52 -. 1.5));
+          at 0x1p52; at (0x1p52 +. 1.0); at 0x1p53; at (-.0x1p53);
+          at 0x1p60; at (-3.0 *. 0x1p70); 1e30 ]
+      in
+      let arrays =
+        List.map (Array.make nh) constants
+        @ [ [||]; [| 0.0; 0.0 |]; [| -0.0 |]; [| 1.0; 1.0 |];
+            Array.init nh (fun i -> if i = nh - 1 then 2.0 else 1.0);
+            Array.make nh Float.nan; Array.make nh Float.infinity ]
+      in
+      for level = 1 to levels do
+        let a = { (random_ct g ctx ~level) with E.scale } in
+        List.iteri
+          (fun k v ->
+            let tag what =
+              Printf.sprintf "%s n=%d level=%d array %d" what n level k
+            in
+            let m = Ckks.Encoder.encode ctx ~level ~scale v in
+            same_ct (tag "add_plain") (E.add_plain keys a v)
+              { a with E.c0 = P.add ctx a.E.c0 m };
+            same_ct (tag "sub_plain") (E.sub_plain keys a v)
+              { a with E.c0 = P.sub ctx a.E.c0 m };
+            List.iter
+              (fun pscale ->
+                let m = Ckks.Encoder.encode ctx ~level ~scale:pscale v in
+                let want =
+                  { a with
+                    E.c0 = P.mul ctx a.E.c0 m;
+                    c1 = P.mul ctx a.E.c1 m;
+                    scale = a.E.scale *. pscale }
+                in
+                same_ct
+                  (tag (Printf.sprintf "mul_plain scale=%g" pscale))
+                  (if pscale = scale then E.mul_plain keys a ~scale v
+                   else E.mul_plain keys a v)
+                  want)
+              [ scale; Fhe_util.Bits.pow2f 14 ])
+          arrays
+      done)
+    [ 4; 10 ]
+
 (* A program-order, per-op evaluation calling Evaluator.rotate for every
    rotation: what Backend computes without the hoisting peephole (or the
    scheduler, the arena and the fused rescale) *)
@@ -1133,6 +1266,37 @@ let test_ciphertext_bytes_golden () =
       (1024, 12, 12, "f883a933bfb6899bc337a77c628c5f95");
       (1024, 12, 5, "f520e710743048a8d50fc01943b57996") ]
 
+(* The MD5 of every decrypted slot's float bits, all 8 registry apps
+   under reserve-full (inputs and keygen seeded 1), pinned before the
+   lazily reduced key-switch MAC and the splat-constant plaintext path
+   replaced the per-digit Barrett and the encoder for constants: the
+   whole pipeline, bit for bit. *)
+let decrypt_digest outs =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)))
+    outs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pipeline_digests () =
+  List.iter
+    (fun (name, digest) ->
+      let a = Reg.find name in
+      let p = a.Reg.exec_build () in
+      let inputs = a.Reg.exec_inputs ~seed:1 in
+      let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
+      let m = compile_with "reserve-full" p ~xmax_bits in
+      let got = decrypt_digest (Ckks.Backend.run ~seed:1 m ~inputs) in
+      Alcotest.(check string) (name ^ " decrypted bits") digest got)
+    [ ("SF", "e7a4b6c0900343305bd58174d0382f6c");
+      ("HCD", "012c047040811b80b3ac72c627939937");
+      ("LR", "156786fd619e8c539f423642837c6d55");
+      ("MR", "63e65ae4321443c4040a7856d7e36056");
+      ("PR", "5ccdfbe9a4f25d155480e5760601105a");
+      ("MLP", "b87cc30a1e25624fa21aa89bf0c0d057");
+      ("Lenet-5", "b18971d20703038935dc79067d0f31e9");
+      ("Lenet-C", "2b736043ae916b0f4c02ac68cbb23707") ]
+
 let suite =
   [ Alcotest.test_case "NTT bit-exact vs Reference (all primes, 2^4..2^12)"
       `Slow test_ntt_bit_exact;
@@ -1191,6 +1355,16 @@ let suite =
     Alcotest.test_case "budgeted (trimmed) key set round-trips and evaluates"
       `Quick test_serialize_trimmed_keys;
     Alcotest.test_case "ciphertext bytes pinned (MD5, encrypt_det)" `Quick
-      test_ciphertext_bytes_golden ]
+      test_ciphertext_bytes_golden;
+    Alcotest.test_case
+      "decrypted bits pinned (MD5, 8 apps under reserve-full, seed 1)" `Slow
+      test_pipeline_digests;
+    Alcotest.test_case
+      "key_switch and rotate_hoisted bit-exact vs Reference at L = 17, 33, \
+       65 (mid-sum folds, -j1/-j4)"
+      `Slow test_deep_keyswitch_bit_exact;
+    Alcotest.test_case
+      "splat add/sub/mul_plain = the encoder path, bit for bit (levels 1..4)"
+      `Quick test_splat_plaintexts ]
 
 let () = Alcotest.run "fhe-exec" [ ("exec", suite) ]
