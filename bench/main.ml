@@ -713,12 +713,8 @@ let portfolio_section () =
 (* bench exec: real encrypt/eval/decrypt wall time per (app, compiler)
    on the from-scratch RNS-CKKS backend.  The exec-scale app variants
    (Registry.exec_build) keep every circuit structure at data sizes a
-   real encrypted run finishes in CI budget; 28-bit primes are the
-   backend's ceiling, waterline 22 leaves headroom under them. *)
-
-let exec_rbits = 28
-
-let exec_wbits = 22
+   real encrypted run finishes in CI budget, at the exec geometry
+   (Registry.exec_rbits / exec_wbits). *)
 
 let exec_out () =
   try Sys.getenv "BENCH_EXEC_OUT" with Not_found -> "BENCH_exec.json"
@@ -752,7 +748,7 @@ let exec_compile (a : Reg.app) s =
   let cfg =
     St.config ~xmax_bits
       ~iterations:(min 60 (hecate_budget a.Reg.name))
-      ~rbits:exec_rbits ~wbits:exec_wbits ()
+      ~rbits:Reg.exec_rbits ~wbits:Reg.exec_wbits ()
   in
   let m, ms =
     Fhe_util.Timer.time (fun () ->
@@ -793,7 +789,7 @@ let measure_exec ?pool () =
       compile_ms;
       warm_compile_ms = 0.0;
       input_level = Managed.input_level m;
-      modulus_bits = Managed.input_level m * exec_rbits;
+      modulus_bits = Managed.input_level m * Reg.exec_rbits;
       est_latency_us = Fhe_cost.Model.estimate m;
       exec =
         Some
@@ -820,9 +816,10 @@ let measure_exec ?pool () =
   let domains =
     match pool with None -> 1 | Some p -> Fhe_par.Pool.domains p
   in
-  { Fhe_check.Benchjson.rbits = exec_rbits; wbits = exec_wbits; domains;
-    wall_time_par = wall_ms; cache = Fhe_check.Benchjson.no_cache_stats;
-    serve = None; portfolio = None; entries }
+  { Fhe_check.Benchjson.rbits = Reg.exec_rbits; wbits = Reg.exec_wbits;
+    domains; wall_time_par = wall_ms;
+    cache = Fhe_check.Benchjson.no_cache_stats; serve = None;
+    portfolio = None; entries }
 
 (* BENCH_EXEC_DETERMINISTIC=1 zeroes wall times and the pool width but
    keeps max_err (bit-identical decrypts at every width): the @exec
@@ -990,7 +987,8 @@ let gate () =
    any -j, which the @tensor harness checks under
    BENCH_JSON_DETERMINISTIC); without that flag the section also runs
    every supported layout of the exec-scale graphs on the real CKKS
-   backend — the measured side of the EXPERIMENTS.md layout table. *)
+   backend — the measured side of the EXPERIMENTS.md layout table —
+   and marks the row of the exec-scale pin. *)
 
 module Tn = Fhe_apps.Tensors
 module TLay = Fhe_tensor.Layout
@@ -1032,8 +1030,8 @@ let tensor_section () =
                 let inputs = TLow.pack_inputs ~plan eg ~data in
                 let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
                 let cfg =
-                  St.config ~xmax_bits ~iterations:0 ~rbits:exec_rbits
-                    ~wbits:exec_wbits ()
+                  St.config ~xmax_bits ~iterations:0 ~rbits:Reg.exec_rbits
+                    ~wbits:Reg.exec_wbits ()
                 in
                 let m =
                   Fhe_cache.Store.bypass (fun () ->
@@ -1052,8 +1050,9 @@ let tensor_section () =
                       out)
                   outs;
                 Printf.printf
-                  "    exec %-12s eval %8.2f ms  max|err| %.3e\n"
-                  (TLay.name plan) st.Ckks.Backend.eval_ms !max_err)
+                  "    exec %-12s eval %8.2f ms  max|err| %.3e%s\n"
+                  (TLay.name plan) st.Ckks.Backend.eval_ms !max_err
+                  (if plan = e.Tn.exec_plan then "  (exec pin)" else ""))
               (TLow.candidates eg)
           end)
         Tn.all)

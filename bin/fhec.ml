@@ -953,7 +953,9 @@ let tensor_cmd =
   in
   let small_arg =
     let doc =
-      "Search over the exec-scale graph (same structure, shrunk data)."
+      "Search over the exec-scale graph (same structure, shrunk data) \
+       at the exec geometry (rbits 28, waterline 22), against the \
+       exec-scale pin."
     in
     Arg.(value & flag & info [ "small" ] ~doc)
   in
@@ -983,7 +985,14 @@ let tensor_cmd =
                      (String.concat ", "
                         (List.map (fun e -> e.Tn.name) Tn.all)))
             | e -> (
-                let g = if small then e.Tn.exec_graph () else e.Tn.graph () in
+                (* each scale is estimated at the geometry it compiles
+                   under and reports that scale's pin *)
+                let g, pin, rbits, wbits =
+                  if small then
+                    ( e.Tn.exec_graph (), e.Tn.exec_plan,
+                      Some Reg.exec_rbits, Some Reg.exec_wbits )
+                  else (e.Tn.graph (), e.Tn.plan, None, None)
+                in
                 Printf.printf "%s: %s (%d slots, %d nodes, batch %d)\n"
                   e.Tn.name e.Tn.description (TG.n_slots g) (TG.n_nodes g)
                   (TG.batch g);
@@ -1002,11 +1011,12 @@ let tensor_cmd =
                         let prog = protecting (fun () -> Ok (TLow.lower ~plan g)) in
                         Result.map
                           (fun prog ->
-                            row plan prog (TLow.cost prog) true)
+                            row plan prog (TLow.cost ?rbits ?wbits prog) true)
                           prog)
                 | None ->
                     let cands, best =
-                      with_pool jobs (fun pool -> TLow.search ?pool g)
+                      with_pool jobs (fun pool ->
+                          TLow.search ?pool ?rbits ?wbits g)
                     in
                     List.iter
                       (fun (c : TLow.candidate) ->
@@ -1014,7 +1024,7 @@ let tensor_cmd =
                           (c.TLow.plan = best.TLow.plan))
                       cands;
                     Printf.printf "chosen %s (pinned plan %s)\n"
-                      (TL.name best.TLow.plan) (TL.name e.Tn.plan);
+                      (TL.name best.TLow.plan) (TL.name pin);
                     Ok ()))
   in
   Cmd.v

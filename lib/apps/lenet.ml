@@ -77,9 +77,15 @@ let graph_of ~n_slots ~width ~in_channels ~seed ~out_channels:(oc1, oc2) ~head
   T.Graph.output g (dense flat ~dim:(next_pow2 feat) ~layer:0 (head ~feat));
   g
 
-(* The dense head runs BSGS — O(√dim) input rotations dominate at the
-   1024-wide flatten — pinned as the lowering plan. *)
+(* One packing pin per scale, each the layout search's winner at that
+   scale.  The full network's dense head runs BSGS: O(√dim) input
+   rotations win at the 1024-wide flatten (16384 slots).  The miniature
+   runs diag: at 512 slots its dense head is narrow enough that diag's
+   fewer levels (mult depth 11 against 13) outweigh its extra
+   rotations. *)
 let plan = { T.Layout.dense = T.Layout.Bsgs }
+
+let exec_plan = { T.Layout.dense = T.Layout.Diag }
 
 let graph ?(n_slots = 16384) ?(seed = 11) variant =
   let width, in_channels = geometry variant in
@@ -104,7 +110,8 @@ let inputs ~seed variant =
    twice, then flatten and a square-activated dense head) on an 8×8
    image with 2 channels per conv stage, so a real encrypted run
    finishes in milliseconds while still exercising every op kind the
-   full network uses (strided rotations, masked flatten, BSGS dense). *)
+   full network uses (strided rotations, masked flatten, a packed dense
+   head — diagonal here, BSGS in the full network). *)
 let small_width = 8
 
 let graph_small ?(n_slots = 512) ?(seed = 11) variant =
@@ -114,7 +121,7 @@ let graph_small ?(n_slots = 512) ?(seed = 11) variant =
     ()
 
 let build_small ?n_slots ?seed variant =
-  T.Lower.lower ~plan (graph_small ?n_slots ?seed variant)
+  T.Lower.lower ~plan:exec_plan (graph_small ?n_slots ?seed variant)
 
 let data_small ~seed variant =
   let _, in_channels = geometry variant in

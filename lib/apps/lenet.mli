@@ -8,17 +8,23 @@ open Fhe_ir
     shifted-window rotations with scalar weights; pooling is strided
     (no repacking — later layers use dilated rotations); a one-hot
     masked flatten compacts the strided feature maps into one packed
-    vector for the BSGS dense layers.  Roughly 10k ops at depth ~13,
+    vector for the packed dense layers.  Roughly 10k ops at depth ~13,
     the scale the paper's Lenet rows exercise.
 
     Both the full network and the exec miniature are described once as
-    an {!Fhe_tensor.Graph} and lowered under the pinned [bsgs] plan —
-    digest-identical to the historical hand-built emission. *)
+    an {!Fhe_tensor.Graph}.  Each is lowered under the packing the
+    layout search picks at its own slot count: the full network under
+    {!plan} ([bsgs], digest-identical to the historical hand-built
+    emission), the miniature under {!exec_plan} ([diag]). *)
 
 type variant = Mnist | Cifar
 
 val plan : Fhe_tensor.Layout.plan
-(** The pinned lowering plan: [bsgs]. *)
+(** The compile-scale pin, used by {!build}: [bsgs]. *)
+
+val exec_plan : Fhe_tensor.Layout.plan
+(** The exec-scale pin, used by {!build_small}: [diag] (mult depth 11
+    against [bsgs]'s 13 at 512 slots). *)
 
 val graph : ?n_slots:int -> ?seed:int -> variant -> Fhe_tensor.Graph.t
 (** The full network as a tensor graph. *)
@@ -41,7 +47,7 @@ val build_small : ?n_slots:int -> ?seed:int -> variant -> Program.t
 (** Exec-tier miniature: the same conv → x² → pool → conv → x² → pool →
     flatten → dense structure on an 8×8 image with 2 channels per conv
     stage, sized so a real encrypted run (Ckks.Backend) completes in
-    milliseconds.  Inputs as {!build}. *)
+    milliseconds, lowered under {!exec_plan}.  Inputs as {!build}. *)
 
 val inputs_small : seed:int -> variant -> (string * float array) list
 

@@ -8,6 +8,11 @@ type app = {
   exec_tol : float;
 }
 
+(* The exec tier's geometry: 28-bit chain primes (the CKKS backend's
+   ceiling) and a waterline that leaves headroom under them. *)
+let exec_rbits = 28
+let exec_wbits = 22
+
 (* Exec-scale geometry: the compile-tier programs (16384 slots, 64×64
    images, LeNet at full width) are what the paper benchmarks, but a
    real encrypted run of those takes minutes per app.  The exec

@@ -15,8 +15,15 @@ type app = {
   exec_inputs : seed:int -> (string * float array) list;
   exec_tol : float;
       (** pinned max|err| bound for the exec variant compiled at
-          rbits 28 / waterline 22 (measured error with ~8× headroom) *)
+          {!exec_rbits} / {!exec_wbits} (measured error with ~8×
+          headroom) *)
 }
+
+val exec_rbits : int
+(** 28: the rescaling factor, in bits, the exec tier compiles at. *)
+
+val exec_wbits : int
+(** 22: the waterline, in bits, the exec tier compiles at. *)
 
 val all : app list
 (** In the paper's order: SF, HCD, LR, MR, PR, MLP, Lenet-5, Lenet-C. *)

@@ -836,12 +836,15 @@ let test_client_retry_dead_socket () =
         (str "dead socket produced a reply: %s" (Proto.reply_name r))
 
 let test_client_retry_rides_out_shed () =
-  with_server ~capacity:1 ~degrade_at:1 "retry-shed" @@ fun socket _t ->
-  (* the holder's deadline bounds how long the slot stays taken, so
-     the retrying client is guaranteed both some sheds and an eventual
-     success inside its attempt budget *)
+  with_server ~capacity:1 ~degrade_at:1 "retry-shed" @@ fun socket t ->
+  (* the holder takes the only slot with a compile that is short but
+     not instant (a capped Hecate exploration, well under a second
+     unloaded), and its deadline bounds the hold from above.  An
+     uncapped exploration would run for seconds past its deadline on
+     the single worker domain, and the retried compile, queued behind
+     it, could hit its own deadline on a loaded host. *)
   let slow =
-    app_request ~tenant:"slow" ~compiler:"hecate" ~iterations:0
+    app_request ~tenant:"slow" ~compiler:"hecate" ~iterations:1000
       ~deadline_ms:1200 "MR"
   in
   let holder =
@@ -855,7 +858,17 @@ let test_client_retry_rides_out_shed () =
               (fun () -> ignore (Client.compile c slow)))
       ()
   in
-  Thread.delay 0.15;
+  (* start retrying only once the server has admitted the holder: a
+     fixed head start can run out on a loaded host *)
+  let admitted_by = Unix.gettimeofday () +. 30. in
+  while
+    (Server.stats t).Admission.inflight < 1
+    && Unix.gettimeofday () < admitted_by
+  do
+    Thread.delay 0.005
+  done;
+  Alcotest.(check bool) "holder admitted" true
+    ((Server.stats t).Admission.inflight >= 1);
   (* generous attempt budget: on a loaded 1-core host the holder's
      compile (and the server's deadline bookkeeping) time-dilates, and
      the early exponential-backoff attempts can all land inside the

@@ -7,8 +7,11 @@
      with the DSL interpreter (Fhe_tensor.Lower.reference — direct index
      arithmetic, no circuit structure);
    - digest pins: the DSL-regenerated MLP and LeNets reproduce the
-     hand-built op streams byte-for-byte (one documented re-pin: the
-     old full LeNet-5 stream carried GC-duplicated ops, see below);
+     hand-built op streams byte-for-byte (documented re-pins: the old
+     full LeNet-5 stream carried GC-duplicated ops, and the LeNet
+     miniatures lower under their exec-scale pin, see below);
+   - exec-scale pins: each app's exec pin is the search winner at the
+     exec geometry, MLP excepted by name;
    - layout search: the chosen plan is cost-minimal over every
      candidate, the candidate set obeys the packing support rules, and
      the whole search is byte-identical with and without a worker pool;
@@ -112,7 +115,10 @@ let test_plans_agree_on_logical_slots () =
    interned nodes alive for its own lifetime (lib/ir/builder.ml), so
    the lowering emits the fully-deduplicated stream; the new digest is
    pinned here.  The circuit is semantically identical and strictly
-   smaller (14329 vs 14474 ops). *)
+   smaller (14329 vs 14474 ops).
+
+   The two exec-scale miniatures (-small) are pinned under their own
+   scale's pin, Lenet.exec_plan = diag, not the compile-scale bsgs. *)
 let digest_pins =
   [ ("MLP", "c41fefb2bd4b8cd01298ed2bed825654",
      fun () -> Fhe_apps.Mlp.build ());
@@ -122,9 +128,9 @@ let digest_pins =
      fun () -> Fhe_apps.Lenet.build Fhe_apps.Lenet.Mnist);
     ("Lenet-C", "fbc5ee20e587bd3537fb4cebfa6db706",
      fun () -> Fhe_apps.Lenet.build Fhe_apps.Lenet.Cifar);
-    ("Lenet-5-small", "9d0f26655ef34a0d4fda6e58f92e378d",
+    ("Lenet-5-small", "0324d642de625619e64d2484bd597f11",
      fun () -> Fhe_apps.Lenet.build_small Fhe_apps.Lenet.Mnist);
-    ("Lenet-C-small", "944b3ce54a3b3602775e07c99e169edc",
+    ("Lenet-C-small", "c1836cb865f0a0ecb55716d2590bb58f",
      fun () -> Fhe_apps.Lenet.build_small Fhe_apps.Lenet.Cifar) ]
 
 let test_digest_pins () =
@@ -191,6 +197,37 @@ let test_search_cost_optimal () =
             Alcotest.failf "%s/%s: est %g but cost recomputes to %g" e.Tn.name
               (Layout.name c.Lower.plan) c.Lower.est recomputed)
         cands)
+    Tn.all
+
+(* One pin per scale: every exec-scale pin is the search winner at the
+   exec tier's geometry (rbits 28, waterline 22), bar MLP's.  At 128
+   slots MLP's search picks bsgs, but bsgs has mult depth 9 against
+   diag's 6: +3 levels, +84 modulus bits at 28-bit primes.  The
+   exception is asserted with its reason, so it goes stale loudly. *)
+let test_exec_pins_match_search () =
+  List.iter
+    (fun (e : Tn.entry) ->
+      let cands, best =
+        Lower.search ~rbits:Reg.exec_rbits ~wbits:Reg.exec_wbits
+          (e.Tn.exec_graph ())
+      in
+      let pin = Layout.name e.Tn.exec_plan in
+      if e.Tn.name = "MLP" then begin
+        let depth plan =
+          let c = List.find (fun c -> c.Lower.plan = plan) cands in
+          Analysis.max_mult_depth c.Lower.prog
+        in
+        Alcotest.(check string) "MLP exec pin: diag (the exception)" "diag"
+          pin;
+        Alcotest.(check string) "MLP exec-scale search winner" "bsgs"
+          (Layout.name best.Lower.plan);
+        Alcotest.(check (pair int int)) "MLP depth: diag vs bsgs" (6, 9)
+          (depth e.Tn.exec_plan, depth best.Lower.plan)
+      end
+      else
+        Alcotest.(check string)
+          (str "%s exec pin = exec-scale search winner" e.Tn.name)
+          (Layout.name best.Lower.plan) pin)
     Tn.all
 
 let test_search_pool_identity () =
@@ -370,6 +407,8 @@ let suite =
     Alcotest.test_case "constfold composes rotate chains canonically"
       `Quick test_constfold_rotate_composition;
     Alcotest.test_case "tensor Progen profile reaches new coverage bins"
-      `Quick test_tensor_profile_new_bins ]
+      `Quick test_tensor_profile_new_bins;
+    Alcotest.test_case "exec pins = exec-scale search winners (MLP excepted)"
+      `Quick test_exec_pins_match_search ]
 
 let () = Alcotest.run "fhe-tensor" [ ("tensor", suite) ]
