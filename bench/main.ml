@@ -757,6 +757,10 @@ let exec_compile (a : Reg.app) s =
   Validator.check_exn m;
   (m, ms)
 
+(* worst |decrypted - reference| over every slot of every output *)
+let max_output_error refs outs =
+  Array.fold_left Float.max 0.0 (Fhe_sim.Oracle.output_errors refs outs)
+
 (* one real run: compile cold, keygen/encrypt/evaluate/decrypt on the
    CKKS backend (the pool parallelises RNS rows *inside* the run, so
    the batch itself stays sequential and deterministically ordered),
@@ -774,15 +778,7 @@ let measure_exec ?pool () =
     let m, compile_ms = exec_compile a c in
     let outs, st = Ckks.Backend.run_timed ?pool m ~inputs in
     let refs = Fhe_sim.Interp.run_reference p ~inputs in
-    let max_err = ref 0.0 in
-    Array.iteri
-      (fun o out ->
-        Array.iteri
-          (fun j x ->
-            let d = Float.abs (x -. refs.(o).(j)) in
-            if d > !max_err then max_err := d)
-          out)
-      outs;
+    let max_err = max_output_error refs outs in
     {
       Fhe_check.Benchjson.app = a.Reg.name;
       compiler = label;
@@ -801,7 +797,7 @@ let measure_exec ?pool () =
             eval_ms = st.Ckks.Backend.eval_ms;
             decrypt_ms = st.Ckks.Backend.decrypt_ms;
             keygen_ms = st.Ckks.Backend.keygen_ms;
-            max_err = !max_err;
+            max_err;
             peak_ct_bytes = st.Ckks.Backend.mem.Ckks.Backend.peak_ct_bytes;
             order_ct_bytes = st.Ckks.Backend.mem.Ckks.Backend.order_ct_bytes;
             resident_ct_bytes =
@@ -1040,18 +1036,10 @@ let tensor_section () =
                 Validator.check_exn m;
                 let outs, st = Ckks.Backend.run_timed ?pool m ~inputs in
                 let refs = TLow.reference ~plan eg ~data in
-                let max_err = ref 0.0 in
-                Array.iteri
-                  (fun o out ->
-                    Array.iteri
-                      (fun j x ->
-                        let d = Float.abs (x -. refs.(o).(j)) in
-                        if d > !max_err then max_err := d)
-                      out)
-                  outs;
+                let max_err = max_output_error refs outs in
                 Printf.printf
                   "    exec %-12s eval %8.2f ms  max|err| %.3e%s\n"
-                  (TLay.name plan) st.Ckks.Backend.eval_ms !max_err
+                  (TLay.name plan) st.Ckks.Backend.eval_ms max_err
                   (if plan = e.Tn.exec_plan then "  (exec pin)" else ""))
               (TLow.candidates eg)
           end)

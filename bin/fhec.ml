@@ -295,7 +295,6 @@ let run_cmd =
                    let inputs = app.Reg.inputs ~seed in
                    let outs = Fhe_sim.Interp.run m ~inputs in
                    let refs = Fhe_sim.Interp.run_reference p ~inputs in
-                   let mismatched = ref 0 in
                    Array.iteri
                      (fun i (v : Fhe_sim.Interp.value) ->
                        Printf.printf
@@ -304,24 +303,17 @@ let run_cmd =
                          i v.Fhe_sim.Interp.data.(0) v.Fhe_sim.Interp.data.(1)
                          v.Fhe_sim.Interp.data.(2) refs.(i).(0) refs.(i).(1)
                          refs.(i).(2)
-                         (Fhe_util.Bits.log2f v.Fhe_sim.Interp.err);
-                       Array.iteri
-                         (fun j x ->
-                           let bound =
-                             v.Fhe_sim.Interp.err
-                             +. (1e-9 *. (1.0 +. Float.abs refs.(i).(j)))
-                           in
-                           if Float.abs (x -. refs.(i).(j)) > bound then
-                             incr mismatched)
-                         v.Fhe_sim.Interp.data)
+                         (Fhe_util.Bits.log2f v.Fhe_sim.Interp.err))
                      outs;
-                   if !mismatched > 0 then
-                     Error
-                       (Printf.sprintf
-                          "differential check failed: %d slot(s) differ from \
-                           the reference beyond the noise bound"
-                          !mismatched)
-                   else Ok ()))))
+                   let verdict = Fhe_sim.Oracle.judge ~refs outs in
+                   match verdict.Fhe_sim.Oracle.mismatches with
+                   | [] -> Ok ()
+                   | bad ->
+                       Error
+                         (Printf.sprintf
+                            "differential check failed: %d slot(s) differ \
+                             from the reference beyond the noise bound"
+                            (List.length bad))))))
   in
   Cmd.v
     (Cmd.info "run"
@@ -565,18 +557,13 @@ let exec_cmd =
                      (String.lowercase_ascii compiler)
                      (Managed.input_level m)
                      (Program.n_slots p);
+                   let errs = Fhe_sim.Oracle.output_errors refs outs in
                    Array.iteri
                      (fun o out ->
-                       let err = ref 0.0 in
-                       Array.iteri
-                         (fun j x ->
-                           let d = Float.abs (x -. refs.(o).(j)) in
-                           if d > !err then err := d)
-                         out;
                        Printf.printf
                          "output %d: slots [%.4f %.4f %.4f]  max|err| %.3e  \
                           level %d\n"
-                         o out.(0) out.(1) out.(2) !err
+                         o out.(0) out.(1) out.(2) errs.(o)
                          st.Ckks.Backend.output_levels.(o))
                      outs;
                    Printf.eprintf

@@ -1,4 +1,5 @@
 module Reg = Fhe_apps.Registry
+module Oracle = Fhe_sim.Oracle
 
 type kind = Semantic | Typing | Metamorphic_ | Crash
 
@@ -47,10 +48,10 @@ let entry_failures subject (e : Differential.entry) =
           | Some _ -> []
           | None -> [ mk Semantic "oracle could not execute the program" ]) ]
 
-let check_one ~rbits ~wbits ~xmax_bits ~hecate_iterations ?noise ~subject p
+let check_one ~rbits ~wbits ~xmax_bits ~hecate_iterations ~subject p
     ~inputs =
   let d =
-    Differential.run ~rbits ~wbits ~xmax_bits ~hecate_iterations ?noise
+    Differential.run ~rbits ~wbits ~xmax_bits ~hecate_iterations
       ~label:subject p ~inputs
   in
   let diff_failures =
@@ -61,11 +62,11 @@ let check_one ~rbits ~wbits ~xmax_bits ~hecate_iterations ?noise ~subject p
       (fun (f : Metamorphic.failure) ->
         { subject; compiler = "-"; kind = Metamorphic_;
           detail = f.Metamorphic.relation ^ ": " ^ f.Metamorphic.detail })
-      (Metamorphic.check ~rbits ~wbits ~xmax_bits ?noise p ~inputs)
+      (Metamorphic.check ~rbits ~wbits ~xmax_bits p ~inputs)
   in
   (List.length d.Differential.entries, diff_failures @ meta_failures)
 
-let run ?pool ?(rbits = 60) ?(wbits = 30) ?(hecate_iterations = 60) ?noise
+let run ?pool ?(rbits = 60) ?(wbits = 30) ?(hecate_iterations = 60)
     ?(apps = true) ?(gen = 0) ?(seed = 1) ?(progress = fun _ -> ()) () =
   (* Phase 1 (sequential): assemble the work list.  Coverage-guided
      generation is a bandit over the shared coverage map, so it stays
@@ -81,7 +82,7 @@ let run ?pool ?(rbits = 60) ?(wbits = 30) ?(hecate_iterations = 60) ?noise
               let p = a.Reg.build () in
               let inputs = a.Reg.inputs ~seed:42 in
               let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-              check_one ~rbits ~wbits ~xmax_bits ~hecate_iterations ?noise
+              check_one ~rbits ~wbits ~xmax_bits ~hecate_iterations
                 ~subject:a.Reg.name p ~inputs ))
         Reg.all
   in
@@ -99,7 +100,7 @@ let run ?pool ?(rbits = 60) ?(wbits = 30) ?(hecate_iterations = 60) ?noise
           in
           ( subject,
             fun () ->
-              check_one ~rbits ~wbits ~xmax_bits:0 ~hecate_iterations ?noise
+              check_one ~rbits ~wbits ~xmax_bits:0 ~hecate_iterations
                 ~subject c.Coverage.gen.Fhe_sim.Progen.prog
                 ~inputs:c.Coverage.gen.Fhe_sim.Progen.inputs ))
         candidates

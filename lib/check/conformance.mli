@@ -34,7 +34,6 @@ val run :
   ?rbits:int ->
   ?wbits:int ->
   ?hecate_iterations:int ->
-  ?noise:Fhe_sim.Noise.t ->
   ?apps:bool ->
   ?gen:int ->
   ?seed:int ->

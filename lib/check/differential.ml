@@ -1,4 +1,5 @@
 open Fhe_ir
+module Oracle = Fhe_sim.Oracle
 
 type compiler = Fhe_strategy.Strategy.t
 
@@ -50,7 +51,7 @@ let failures r =
     r.entries
 
 let run ?pool ?(rbits = 60) ?(wbits = 30) ?(xmax_bits = 0)
-    ?(hecate_iterations = 60) ?noise ?(compilers = all_compilers)
+    ?(hecate_iterations = 60) ?(compilers = all_compilers)
     ?(verify_cache = true) ~label p ~inputs =
   let cfg =
     Fhe_strategy.Strategy.config ~xmax_bits ~iterations:hecate_iterations
@@ -86,7 +87,7 @@ let run ?pool ?(rbits = 60) ?(wbits = 30) ?(xmax_bits = 0)
           else base
         in
         let oracle =
-          try Some (Oracle.check ?noise p m ~inputs)
+          try Some (Oracle.check p m ~inputs)
           with _ -> None
         in
         {

@@ -5,7 +5,7 @@ open Fhe_ir
     Compiles a source program under EVA, Hecate, and the three reserve
     pipeline variants, then holds each result to the same conformance
     bar — {!Fhe_ir.Validator} legality, the {!Invariants} reserve
-    lemmas, and {!Oracle} agreement with the interpreted source.
+    lemmas, and {!Fhe_sim.Oracle} agreement with the interpreted source.
     Because every compiler is compared against the one reference
     execution, agreement is transitive: all five managed programs
     compute the same function.  Per-compiler measurements (compile
@@ -37,7 +37,7 @@ type entry = {
   est_latency_us : float;  (** Table 3 cost-model estimate *)
   validator_errors : string list;
   lemma_violations : Invariants.violation list;
-  oracle : Oracle.report option;
+  oracle : Fhe_sim.Oracle.report option;
   crash : string option;  (** escaped exception, if any *)
 }
 
@@ -57,7 +57,6 @@ val run :
   ?wbits:int ->
   ?xmax_bits:int ->
   ?hecate_iterations:int ->
-  ?noise:Fhe_sim.Noise.t ->
   ?compilers:compiler list ->
   ?verify_cache:bool ->
   label:string ->

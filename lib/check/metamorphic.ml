@@ -1,4 +1,5 @@
 open Fhe_ir
+module Oracle = Fhe_sim.Oracle
 
 type failure = { relation : string; detail : string }
 
@@ -9,40 +10,34 @@ let relations =
   [ "identity"; "constfold"; "cse"; "dce"; "optimize"; "optimize-then-compile";
     "managed-cse"; "managed-dce"; "managed-cse-dce" ]
 
-(* exact reference comparison (tiny slack for float re-association) *)
-let same_reference ~slack p q ~inputs =
+(* exact reference comparison: the oracle with a zero noise bound *)
+let same_reference p q ~inputs =
   let a = Fhe_sim.Interp.run_reference p ~inputs in
   let b = Fhe_sim.Interp.run_reference q ~inputs in
   if Array.length a <> Array.length b then Some "output count changed"
-  else begin
-    let bad = ref None in
-    Array.iteri
-      (fun i ra ->
-        Array.iteri
-          (fun j x ->
-            let bound = slack *. (1.0 +. Float.abs x) in
-            if !bad = None && Float.abs (x -. b.(i).(j)) > bound then
-              bad :=
-                Some
-                  (Printf.sprintf "output %d slot %d: %g <> %g" i j x
-                     b.(i).(j)))
-          ra)
-      a;
-    !bad
-  end
+  else
+    match
+      (Oracle.judge ~refs:a
+         (Array.map (fun data -> { Fhe_sim.Interp.data; err = 0.0 }) b))
+        .Oracle.mismatches
+    with
+    | [] -> None
+    | x :: _ ->
+        Some
+          (Printf.sprintf "output %d slot %d: %g <> %g" x.Oracle.output
+             x.slot x.expected x.got)
 
-let check ?(rbits = 60) ?(wbits = 25) ?(xmax_bits = 0) ?noise p ~inputs =
+let check ?(rbits = 60) ?(wbits = 25) ?(xmax_bits = 0) p ~inputs =
   let failures = ref [] in
   let fail relation detail = failures := { relation; detail } :: !failures in
   let guarded relation f =
     try f () with e -> fail relation ("exception: " ^ Printexc.to_string e)
   in
-  let slack = 1e-9 in
   (* 1. source-level rewrites preserve the reference semantics *)
   let arith relation (pass : Program.t -> Rewrite.result) =
     guarded relation (fun () ->
         let r = pass p in
-        match same_reference ~slack p r.Rewrite.prog ~inputs with
+        match same_reference p r.Rewrite.prog ~inputs with
         | None -> ()
         | Some d -> fail relation d)
   in
@@ -56,7 +51,7 @@ let check ?(rbits = 60) ?(wbits = 25) ?(xmax_bits = 0) ?noise p ~inputs =
     (Dce.run q).Rewrite.prog
   in
   guarded "optimize" (fun () ->
-      match same_reference ~slack p (optimize p) ~inputs with
+      match same_reference p (optimize p) ~inputs with
       | None -> ()
       | Some d -> fail "optimize" d);
   (* 2. the compiled forms: well-typed under both judgments and
@@ -71,7 +66,7 @@ let check ?(rbits = 60) ?(wbits = 25) ?(xmax_bits = 0) ?noise p ~inputs =
     | [] -> ()
     | v :: _ ->
         fail relation (Format.asprintf "%a" Invariants.pp_violation v));
-    let o = Oracle.check ?noise p m ~inputs in
+    let o = Oracle.check p m ~inputs in
     if not (Oracle.ok o) then
       fail relation
         (Format.asprintf "%a" Oracle.pp_mismatch

@@ -24,7 +24,6 @@ val check :
   ?rbits:int ->
   ?wbits:int ->
   ?xmax_bits:int ->
-  ?noise:Fhe_sim.Noise.t ->
   Program.t ->
   inputs:(string * float array) list ->
   failure list

@@ -1,5 +1,6 @@
 open Fhe_ir
 module Diag = Reserve.Diag
+module Oracle = Fhe_sim.Oracle
 
 (* The EVA baseline: a fused forward pass.  Scale tracking and op
    insertion happen in one walk, so analyze/annotate are trivial and
@@ -204,55 +205,6 @@ let chain = [ "reserve-full"; "reserve-ra"; "reserve-ba"; "eva" ]
 (* bit decrements of the waterline for the final EVA links *)
 let waterline_steps = [ 5; 10 ]
 
-(* Deterministic synthetic inputs for the oracle when the caller has
-   none at hand; shorter than the slot count (zero-padded by the
-   interpreter) to keep the self-check cheap on wide programs. *)
-let synth_inputs prog =
-  let rng = Fhe_util.Prng.create 0x5eed in
-  let n = min (Program.n_slots prog) 64 in
-  let acc = ref [] in
-  Program.iteri
-    (fun _ k ->
-      match k with
-      | Op.Input { name; _ } when not (List.mem_assoc name !acc) ->
-          acc :=
-            ( name,
-              Array.init n (fun _ ->
-                  Fhe_util.Prng.uniform rng ~lo:(-1.0) ~hi:1.0) )
-            :: !acc
-      | _ -> ())
-    prog;
-  List.rev !acc
-
-(* The managed program must compute the same function as its source, up
-   to the propagated noise bound plus float-association slack. *)
-let oracle_check prog m ~inputs =
-  match
-    let refs = Fhe_sim.Interp.run_reference prog ~inputs in
-    let outs = Fhe_sim.Interp.run m ~inputs in
-    let bad = ref [] in
-    Array.iteri
-      (fun i (v : Fhe_sim.Interp.value) ->
-        let r = refs.(i) in
-        Array.iteri
-          (fun j x ->
-            let bound =
-              v.Fhe_sim.Interp.err +. (1e-9 *. (1.0 +. Float.abs r.(j)))
-            in
-            if Float.abs (x -. r.(j)) > bound && !bad = [] then
-              bad :=
-                [ Diag.errorf Diag.Oracle
-                    "output %d slot %d: managed %g differs from reference %g \
-                     beyond the noise bound %g"
-                    i j x r.(j) bound ])
-          v.Fhe_sim.Interp.data)
-      outs;
-    !bad
-  with
-  | [] -> Ok ()
-  | ds -> Error ds
-  | exception e -> Error [ Diag.of_exn Diag.Oracle e ]
-
 let attempt s cfg ~oracle ~inputs p =
   match compile s cfg p with
   | exception Diag.Failed ds -> Error ds
@@ -260,8 +212,16 @@ let attempt s cfg ~oracle ~inputs p =
   | m -> (
       match Validator.check m with
       | Error es -> Error (List.map Diag.of_validator_error es)
-      | Ok () when oracle ->
-          Result.map (fun () -> m) (oracle_check p m ~inputs)
+      | Ok () when oracle -> (
+          match Oracle.check p m ~inputs with
+          | { Oracle.mismatches = []; _ } -> Ok m
+          | { Oracle.mismatches = x :: _; _ } ->
+              Error
+                [ Diag.errorf Diag.Oracle
+                    "output %d slot %d: managed %g differs from reference \
+                     %g beyond the noise bound %g"
+                    x.Oracle.output x.slot x.got x.expected x.bound ]
+          | exception e -> Error [ Diag.of_exn Diag.Oracle e ])
       | Ok () -> Ok m)
 
 let compile_safe s (cfg : Strategy.config) ~strict ~oracle ?oracle_inputs p =
@@ -279,7 +239,7 @@ let compile_safe s (cfg : Strategy.config) ~strict ~oracle ?oracle_inputs p =
       let inputs =
         match oracle_inputs with
         | Some i -> i
-        | None -> if oracle then synth_inputs p else []
+        | None -> if oracle then Oracle.synth_inputs p else []
       in
       let links =
         if strict then [ (s, cfg.wbits) ]

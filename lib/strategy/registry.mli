@@ -43,7 +43,7 @@ val compile : Strategy.t -> Strategy.config -> Program.t -> Managed.t
     {!compile} raises on the first internal failure — right for a
     compiler bug hunt, wrong for a service compiling untrusted programs.
     {!compile_safe} instead validates every result, self-checks it
-    against the reference execution (the differential oracle), and on
+    against the reference execution ({!Fhe_sim.Oracle.check}), and on
     any failure walks one fallback chain of strategy names:
     [reserve-full → reserve-ra → reserve-ba → eva], starting at the
     requested strategy, then EVA at the waterline lowered by 5 and by
@@ -82,8 +82,9 @@ val compile_safe :
     configuration; otherwise the chain runs from [s] (a registered
     strategy off the built-in chain degrades straight to EVA), at most
     [3 + 1 + 2] attempts.  [oracle] runs the self-check on
-    [oracle_inputs] (synthesized deterministically from the program
-    when omitted).  [Error attempts] means every link failed.
+    [oracle_inputs] ({!Fhe_sim.Oracle.synth_inputs} when omitted); its
+    first mismatch becomes the link's one [Oracle] diagnostic.
+    [Error attempts] means every link failed.
 
     Any other strategy is compiled plainly by {!compile}: no
     validation, no oracle, and its exceptions propagate. *)

@@ -439,16 +439,7 @@ let compile_with name p ~xmax_bits =
     p
 
 let max_err refs got =
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun o e ->
-      Array.iteri
-        (fun j x ->
-          let d = Float.abs (x -. got.(o).(j)) in
-          if d > !worst then worst := d)
-        e)
-    refs;
-  !worst
+  Array.fold_left Float.max 0.0 (Fhe_sim.Oracle.output_errors refs got)
 
 (* a budget tight enough to force ciphertext spilling on every exec
    app (a level-6 ct at n=512 is ~49 KiB) while the generous key bound

@@ -289,7 +289,7 @@ let entry_shape (e : Differential.entry) =
     e.Differential.validator_errors,
     List.length e.Differential.lemma_violations,
     (match e.Differential.oracle with
-    | Some o -> Some (Fhe_check.Oracle.ok o)
+    | Some o -> Some (Fhe_sim.Oracle.ok o)
     | None -> None),
     e.Differential.crash )
 

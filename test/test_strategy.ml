@@ -504,6 +504,88 @@ let test_proto_v2_frame_version () =
           Alcotest.(check string) "payload preserved" payload payload')
 
 (* ----------------------------------------------------------------- *)
+(* compile_safe's self-check: the oracle is the only guard against a
+   plan that is legal but computes the wrong function *)
+
+(* reserve-full with its first constant doubled: scales and levels are
+   untouched, so the validator accepts the plan, but it no longer
+   computes its source.  compile_safe takes the module directly, so it
+   need not be registered (the register test pins the registry). *)
+module Wrong_constant = struct
+  let name = "reserve-wrong-constant"
+  let aliases = []
+
+  let caps =
+    { (St.caps (SReg.get_exn "reserve-full")) with St.fallback_chain = true }
+
+  let cache_key_tag = name
+  let cache_extra _ _ = []
+
+  type analysis = unit
+  type annotation = unit
+
+  let analyze _ _ = ()
+  let annotate _ _ () = ()
+
+  let place cfg p () =
+    let m = SReg.compile_uncached (SReg.get_exn "reserve-full") cfg p in
+    let ops = Array.copy (Program.ops m.Managed.prog) in
+    let i =
+      let rec first i =
+        match ops.(i) with Op.Const _ -> i | _ -> first (i + 1)
+      in
+      first 0
+    in
+    (match ops.(i) with Op.Const c -> ops.(i) <- Op.Const (2.0 *. c) | _ -> ());
+    { m with
+      Managed.prog =
+        Program.make ~ops ~outputs:(Program.outputs m.Managed.prog)
+          ~n_slots:(Program.n_slots m.Managed.prog) }
+end
+
+let test_self_check_catches_legal_wrong_plan () =
+  let p =
+    let b = Builder.create ~n_slots:8 () in
+    let x = Builder.input b "x" and y = Builder.input b "y" in
+    Builder.finish b
+      ~outputs:[ Builder.add b (Builder.mul b x (Builder.const b 0.5)) y ]
+  in
+  let s = (module Wrong_constant : St.SCALE_STRATEGY) in
+  let cfg = St.config ~rbits:60 ~wbits:30 () in
+  let oracle_inputs =
+    [ ("x", Array.make 8 1.0); ("y", Array.make 8 0.25) ]
+  in
+  fresh_cache ();
+  (match Validator.check (SReg.compile_uncached s cfg p) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "the perturbed plan must stay legal");
+  let oracle_diag =
+    "error[oracle]: output 0 slot 0: managed 1.25 differs from reference \
+     0.75 beyond the noise bound 1.80564e-07"
+  in
+  (match SReg.compile_safe s cfg ~strict:true ~oracle:true ~oracle_inputs p with
+  | Ok _ -> Alcotest.fail "strict: the wrong plan was accepted"
+  | Error atts ->
+      Alcotest.(check (list string))
+        "strict: one oracle diagnostic" [ oracle_diag ]
+        (List.map (Format.asprintf "%a" Reserve.Diag.pp)
+           (SReg.attempt_diags atts)));
+  match SReg.compile_safe s cfg ~strict:false ~oracle:true ~oracle_inputs p with
+  | Error _ -> Alcotest.fail "fallback: the chain did not recover"
+  | Ok o ->
+      Alcotest.(check string) "degraded to the next link" "eva"
+        o.SReg.strategy;
+      Alcotest.(check int) "at the same waterline" 30 o.SReg.wbits;
+      Alcotest.(check (list (pair string (list string))))
+        "the failed link and its diagnostic"
+        [ (Wrong_constant.name, [ oracle_diag ]) ]
+        (List.map
+           (fun (a : SReg.attempt) ->
+             ( a.SReg.strategy,
+               List.map (Format.asprintf "%a" Reserve.Diag.pp) a.SReg.diags ))
+           o.SReg.fallbacks)
+
+(* ----------------------------------------------------------------- *)
 (* register: strategy number six (global mutation — keep this last) *)
 
 module Eva_two = struct
@@ -613,6 +695,11 @@ let () =
           t "v1 golden frame pinned" test_proto_v1_golden_pinned;
           t "v1 frame decodes" test_proto_v1_frame_decodes;
           t "v2 frame carries its version" test_proto_v2_frame_version;
+        ] );
+      ( "compile_safe",
+        [
+          t "self-check catches a legal wrong plan"
+            test_self_check_catches_legal_wrong_plan;
         ] );
       ("register", [ t "strategy number six" test_register_sixth_strategy ]);
     ]
