@@ -16,6 +16,7 @@ open Fhe_ir
 module Reg = Fhe_apps.Registry
 module St = Fhe_strategy.Strategy
 module SReg = Fhe_strategy.Registry
+module H = Fhe_harness
 
 let rbits = 60
 
@@ -24,10 +25,20 @@ let rbits = 60
    measurement with printing and stay sequential *)
 let jobs = ref 0
 
-let with_pool f =
-  let width = if !jobs <= 0 then Domain.recommended_domain_count () else !jobs in
-  if width = 1 then f None
-  else Fhe_par.Pool.with_pool ~domains:width (fun p -> f (Some p))
+let with_pool f = H.with_pool !jobs f
+
+let width = function None -> 1 | Some p -> Fhe_par.Pool.domains p
+
+let env_or var default = Option.value (Sys.getenv_opt var) ~default
+
+(* a BENCH_*_DETERMINISTIC switch: set, non-empty and not "0" *)
+let env_flag var =
+  match Sys.getenv_opt var with None | Some "" | Some "0" -> false | Some _ -> true
+
+let env_float var ~ok ~default =
+  match Option.bind (Sys.getenv_opt var) float_of_string_opt with
+  | Some x when ok x -> x
+  | _ -> default
 
 (* ------------------------------------------------------------------ *)
 (* Shared compilation cache: (app, waterline, compiler) -> managed     *)
@@ -55,38 +66,32 @@ let paper_iters =
 (* BENCH_HECATE_CAP caps exploration globally: the `json` smoke rule in
    the test tree sets it so the emitter stays fast under `dune runtest` *)
 let hecate_cap =
-  match int_of_string_opt (try Sys.getenv "BENCH_HECATE_CAP" with Not_found -> "") with
+  match int_of_string_opt (env_or "BENCH_HECATE_CAP" "") with
   | Some n when n > 0 -> n
   | _ -> max_int
 
+(* apps off the paper's list (the tensor additions) have no paper
+   count and take the plain cap *)
 let hecate_budget name =
-  let paper = List.assoc name paper_iters in
+  let paper = Option.value (List.assoc_opt name paper_iters) ~default:max_int in
   min hecate_cap
-    (if String.length name > 5 then min paper 120 (* Lenet-* *)
+    (if String.starts_with ~prefix:"Lenet" name then min paper 120
      else min paper 1200)
 
-let progs : (string, Program.t) Hashtbl.t = Hashtbl.create 8
+(* each app's program at one scale with the x_max measured on its
+   inputs, built once; batch sections warm it sequentially so pool
+   tasks only read it *)
+let prepared : (H.scale * string, H.prepared) Hashtbl.t = Hashtbl.create 16
 
-let prog_of (a : Reg.app) =
-  match Hashtbl.find_opt progs a.Reg.name with
-  | Some p -> p
+let prep scale (a : Reg.app) =
+  match Hashtbl.find_opt prepared (scale, a.Reg.name) with
+  | Some r -> r
   | None ->
-      let p = a.Reg.build () in
-      Hashtbl.replace progs a.Reg.name p;
-      p
+      let r = H.prepare scale a in
+      Hashtbl.replace prepared (scale, a.Reg.name) r;
+      r
 
-let xmaxes : (string, int) Hashtbl.t = Hashtbl.create 8
-
-let xmax_of (a : Reg.app) =
-  match Hashtbl.find_opt xmaxes a.Reg.name with
-  | Some x -> x
-  | None ->
-      let x =
-        Fhe_sim.Interp.max_magnitude_bits (prog_of a)
-          ~inputs:(a.Reg.inputs ~seed:42)
-      in
-      Hashtbl.replace xmaxes a.Reg.name x;
-      x
+let prog_of a = (prep H.Paper a).H.prog
 
 let plan_cache : (string * int * string, Managed.t * float) Hashtbl.t =
   Hashtbl.create 64
@@ -94,22 +99,21 @@ let plan_cache : (string * int * string, Managed.t * float) Hashtbl.t =
 (* the strategy config this benchmark compiles (app, waterline) under:
    the app's measured x_max headroom and its capped Hecate budget *)
 let bench_config (a : Reg.app) ~wbits =
-  St.config ~xmax_bits:(xmax_of a)
-    ~iterations:(hecate_budget a.Reg.name) ~rbits ~wbits ()
+  H.config ~iterations:(hecate_budget a.Reg.name) ~rbits ~wbits
+    (prep H.Paper a)
 
-(* one measured compilation; reads the prog/xmax caches but never
-   writes any table, so it is safe on a pool once those are warm.  The
-   content-addressed store is bypassed on this domain so the timing is
-   a genuinely cold compile even when the global cache is enabled. *)
+(* one measured, validated compilation.  The content-addressed store
+   is bypassed on this domain so the timing is a genuinely cold compile
+   even when the global cache is enabled. *)
+let cold_compile s cfg p =
+  match Fhe_cache.Store.bypass (fun () -> H.compile s cfg p) with
+  | Ok r -> r
+  | Error e -> failwith e
+
+(* reads the prepared table but never writes it, so it is safe on a
+   pool once that is warm *)
 let compile_nocache (a : Reg.app) ~wbits s =
-  let p = prog_of a in
-  let cfg = bench_config a ~wbits in
-  let m, ms =
-    Fhe_util.Timer.time (fun () ->
-        Fhe_cache.Store.bypass (fun () -> SReg.compile_uncached s cfg p))
-  in
-  Validator.check_exn m;
-  (m, ms)
+  cold_compile s (bench_config a ~wbits) (prog_of a)
 
 (* the Fhe_cache.Store key this (app, compiler, waterline) compiles
    under — the same key the drivers use, so warm timings measure real
@@ -312,7 +316,7 @@ let figure7 () =
         "This work";
       List.iter
         (fun (a : Reg.app) ->
-          let inputs = a.Reg.inputs ~seed:42 in
+          let inputs = (prep H.Paper a).H.inputs in
           let err c =
             let m, _ = compile a ~wbits:w c in
             Fhe_sim.Interp.max_log2_error m ~inputs
@@ -418,20 +422,38 @@ let micro () =
 (* registry order == the committed baseline's entry order *)
 let bench_compilers = List.map (fun s -> (s, St.name s)) (SReg.all ())
 
-let json_out () =
-  try Sys.getenv "BENCH_JSON_OUT" with Not_found -> "BENCH_compile.json"
+(* every app x every registered strategy, apps outermost *)
+let pairs apps =
+  List.concat_map
+    (fun (a : Reg.app) -> List.map (fun (c, label) -> (a, c, label)) bench_compilers)
+    apps
+
+let cache_stats () =
+  let s = Fhe_cache.Store.stats () in
+  { Fhe_check.Benchjson.cache_hits = s.Fhe_cache.Store.hits;
+    cache_misses = s.Fhe_cache.Store.misses;
+    cache_stores = s.Fhe_cache.Store.stores;
+    cache_poisoned = s.Fhe_cache.Store.poisoned }
+
+(* write a run as JSON, after checking the gate can parse it back *)
+let emit ~what ~out run =
+  let text =
+    Fhe_check.Benchjson.to_string (Fhe_check.Benchjson.run_to_json run)
+  in
+  (match Fhe_check.Benchjson.parse text with
+  | Ok _ -> ()
+  | Error e ->
+      failwith (Printf.sprintf "bench %s: emitted malformed JSON: %s" what e));
+  let oc = open_out out in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc
+
+let json_out () = env_or "BENCH_JSON_OUT" "BENCH_compile.json"
 
 let measure_run ?pool () =
   let wbits = 30 in
-  (* warm the prog/xmax caches sequentially so the parallel tasks only
-     ever read them *)
-  List.iter (fun a -> ignore (xmax_of a)) Reg.all;
-  let pairs =
-    List.concat_map
-      (fun (a : Reg.app) ->
-        List.map (fun (c, label) -> (a, c, label)) bench_compilers)
-      Reg.all
-  in
+  List.iter (fun a -> ignore (prep H.Paper a)) Reg.all;
   Fhe_cache.Store.reset ();
   let measure (a, c, label) =
     let m, ms = compile_nocache a ~wbits c in
@@ -462,21 +484,12 @@ let measure_run ?pool () =
   let entries, wall_ms =
     Fhe_util.Timer.time (fun () ->
         match pool with
-        | None -> List.map measure pairs
-        | Some pool -> Fhe_par.Pool.map pool measure pairs)
+        | None -> List.map measure (pairs Reg.all)
+        | Some pool -> Fhe_par.Pool.map pool measure (pairs Reg.all))
   in
-  let domains =
-    match pool with None -> 1 | Some p -> Fhe_par.Pool.domains p
-  in
-  let cache =
-    let s = Fhe_cache.Store.stats () in
-    { Fhe_check.Benchjson.cache_hits = s.Fhe_cache.Store.hits;
-      cache_misses = s.Fhe_cache.Store.misses;
-      cache_stores = s.Fhe_cache.Store.stores;
-      cache_poisoned = s.Fhe_cache.Store.poisoned }
-  in
-  { Fhe_check.Benchjson.rbits; wbits; domains; wall_time_par = wall_ms;
-    cache; serve = None; portfolio = None; entries }
+  { Fhe_check.Benchjson.rbits; wbits; domains = width pool;
+    wall_time_par = wall_ms; cache = cache_stats (); serve = None;
+    portfolio = None; entries }
 
 (* ------------------------------------------------------------------ *)
 (* serve: load-test a real daemon over its Unix socket.  One warm-up
@@ -497,19 +510,19 @@ let measure_serve () =
      compile heft *)
   let names = [| "SF"; "HCD"; "MR" |] in
   let make_request i =
-    let a = Reg.find names.(i mod Array.length names) in
+    let pr = prep H.Paper (Reg.find names.(i mod Array.length names)) in
     {
       Fhe_serve.Protocol.tenant = "";
       compiler = "reserve-full";
       strategies = [];
       rbits;
       wbits = 30;
-      xmax_bits = xmax_of a;
+      xmax_bits = pr.H.xmax_bits;
       iterations = 0;
       allow_fallback = false;
       oracle = false;
       deadline_ms = 0;
-      program = prog_of a;
+      program = pr.H.prog;
     }
   in
   let warm =
@@ -541,21 +554,20 @@ let serve_section () =
    emission against a -j 4 one; everything else in the file is
    deterministic *)
 let scrub run =
-  match Sys.getenv_opt "BENCH_JSON_DETERMINISTIC" with
-  | None | Some "" | Some "0" -> run
-  | Some _ ->
-      { run with
-        Fhe_check.Benchjson.domains = 1;
-        wall_time_par = 0.0;
-        cache = Fhe_check.Benchjson.no_cache_stats;
-        serve = None;
-        entries =
-          List.map
-            (fun m ->
-              { m with
-                Fhe_check.Benchjson.compile_ms = 0.0;
-                warm_compile_ms = 0.0 })
-            run.Fhe_check.Benchjson.entries }
+  if not (env_flag "BENCH_JSON_DETERMINISTIC") then run
+  else
+    { run with
+      Fhe_check.Benchjson.domains = 1;
+      wall_time_par = 0.0;
+      cache = Fhe_check.Benchjson.no_cache_stats;
+      serve = None;
+      entries =
+        List.map
+          (fun m ->
+            { m with
+              Fhe_check.Benchjson.compile_ms = 0.0;
+              warm_compile_ms = 0.0 })
+          run.Fhe_check.Benchjson.entries }
 
 let json () =
   section "BENCH_compile.json: per-app compile time / modulus / latency";
@@ -563,28 +575,14 @@ let json () =
   (* a deterministic emission skips the daemon entirely: its numbers
      are wall-clock through and through *)
   let run =
-    if
-      match Sys.getenv_opt "BENCH_JSON_DETERMINISTIC" with
-      | None | Some "" | Some "0" -> false
-      | Some _ -> true
-    then run
+    if env_flag "BENCH_JSON_DETERMINISTIC" then run
     else
       let _, s = measure_serve () in
       { run with Fhe_check.Benchjson.serve = Some (serve_stats_of s) }
   in
   let run = scrub run in
-  let text =
-    Fhe_check.Benchjson.to_string (Fhe_check.Benchjson.run_to_json run)
-  in
-  (* the emitter must produce what the gate can parse *)
-  (match Fhe_check.Benchjson.parse text with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench json: emitted malformed JSON: " ^ e));
   let out = json_out () in
-  let oc = open_out out in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
+  emit ~what:"json" ~out run;
   List.iter
     (fun (m : Fhe_check.Benchjson.measurement) ->
       Printf.printf
@@ -606,22 +604,14 @@ let json () =
    widths; under BENCH_JSON_DETERMINISTIC the wall/cache numbers are
    scrubbed too and the whole file is width-independent. *)
 
-let portfolio_out () =
-  try Sys.getenv "BENCH_PORTFOLIO_OUT"
-  with Not_found -> "BENCH_portfolio.json"
-
 let portfolio_section () =
   section "BENCH_portfolio.json: strategy race, winner per app";
   let wbits = 30 in
-  (* warm the prog/xmax caches sequentially; the legs only read them *)
-  List.iter (fun a -> ignore (xmax_of a)) Reg.all;
+  List.iter (fun a -> ignore (prep H.Paper a)) Reg.all;
   Fhe_cache.Store.reset ();
   let (entries, domains), wall_ms =
     Fhe_util.Timer.time (fun () ->
         with_pool (fun pool ->
-            let domains =
-              match pool with None -> 1 | Some p -> Fhe_par.Pool.domains p
-            in
             let entries =
               List.map
                 (fun (a : Reg.app) ->
@@ -652,7 +642,7 @@ let portfolio_section () =
                       })
                 Reg.all
             in
-            (entries, domains)))
+            (entries, width pool)))
   in
   let names = List.map snd bench_compilers in
   let wins =
@@ -679,34 +669,18 @@ let portfolio_section () =
   Printf.printf "wins: %s\n"
     (String.concat ", "
        (List.map (fun (n, w) -> Printf.sprintf "%s=%d" n w) wins));
-  let cache =
-    let s = Fhe_cache.Store.stats () in
-    { Fhe_check.Benchjson.cache_hits = s.Fhe_cache.Store.hits;
-      cache_misses = s.Fhe_cache.Store.misses;
-      cache_stores = s.Fhe_cache.Store.stores;
-      cache_poisoned = s.Fhe_cache.Store.poisoned }
-  in
   let run =
     scrub
       { Fhe_check.Benchjson.rbits; wbits; domains; wall_time_par = wall_ms;
-        cache; serve = None;
+        cache = cache_stats (); serve = None;
         portfolio =
           Some
             { Fhe_check.Benchjson.p_strategies = names; p_wins = wins;
               p_entries = entries };
         entries = [] }
   in
-  let text =
-    Fhe_check.Benchjson.to_string (Fhe_check.Benchjson.run_to_json run)
-  in
-  (match Fhe_check.Benchjson.parse text with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench portfolio: emitted malformed JSON: " ^ e));
-  let out = portfolio_out () in
-  let oc = open_out out in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
+  let out = env_or "BENCH_PORTFOLIO_OUT" "BENCH_portfolio.json" in
+  emit ~what:"portfolio" ~out run;
   Printf.printf "wrote %s (%d apps)\n" out (List.length entries)
 
 (* ------------------------------------------------------------------ *)
@@ -716,69 +690,38 @@ let portfolio_section () =
    real encrypted run finishes in CI budget, at the exec geometry
    (Registry.exec_rbits / exec_wbits). *)
 
-let exec_out () =
-  try Sys.getenv "BENCH_EXEC_OUT" with Not_found -> "BENCH_exec.json"
+let exec_out () = env_or "BENCH_EXEC_OUT" "BENCH_exec.json"
 
 (* BENCH_EXEC_APPS=SF,MLP restricts the batch (the test tree's
-   determinism rule runs a small subset twice) *)
+   determinism rule runs a small subset twice); an unknown name is a
+   one-line error, exit 1 *)
 let exec_apps () =
   match Sys.getenv_opt "BENCH_EXEC_APPS" with
   | None | Some "" -> Reg.all
   | Some names ->
-      let names = String.split_on_char ',' names in
-      List.map (fun n -> Reg.find (String.trim n)) names
-
-let exec_progs :
-    (string, Program.t * (string * float array) list * int) Hashtbl.t =
-  Hashtbl.create 8
-
-let exec_prog_of (a : Reg.app) =
-  match Hashtbl.find_opt exec_progs a.Reg.name with
-  | Some r -> r
-  | None ->
-      let p = a.Reg.exec_build () in
-      let inputs = a.Reg.exec_inputs ~seed:42 in
-      let xmax = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-      let r = (p, inputs, xmax) in
-      Hashtbl.replace exec_progs a.Reg.name r;
-      r
-
-let exec_compile (a : Reg.app) s =
-  let p, _, xmax_bits = exec_prog_of a in
-  let cfg =
-    St.config ~xmax_bits
-      ~iterations:(min 60 (hecate_budget a.Reg.name))
-      ~rbits:Reg.exec_rbits ~wbits:Reg.exec_wbits ()
-  in
-  let m, ms =
-    Fhe_util.Timer.time (fun () ->
-        Fhe_cache.Store.bypass (fun () -> SReg.compile_uncached s cfg p))
-  in
-  Validator.check_exn m;
-  (m, ms)
-
-(* worst |decrypted - reference| over every slot of every output *)
-let max_output_error refs outs =
-  Array.fold_left Float.max 0.0 (Fhe_sim.Oracle.output_errors refs outs)
+      List.map
+        (fun n ->
+          match H.find_app (String.trim n) with
+          | Ok a -> a
+          | Error e ->
+              Printf.eprintf "bench exec: %s\n" e;
+              exit 1)
+        (String.split_on_char ',' names)
 
 (* one real run: compile cold, keygen/encrypt/evaluate/decrypt on the
    CKKS backend (the pool parallelises RNS rows *inside* the run, so
    the batch itself stays sequential and deterministically ordered),
    and diff the decryption against the plaintext reference *)
-let measure_exec ?pool () =
-  let apps = exec_apps () in
-  let pairs =
-    List.concat_map
-      (fun (a : Reg.app) ->
-        List.map (fun (c, label) -> (a, c, label)) bench_compilers)
-      apps
-  in
+let measure_exec ?pool apps =
   let measure (a, c, label) =
-    let p, inputs, _ = exec_prog_of a in
-    let m, compile_ms = exec_compile a c in
-    let outs, st = Ckks.Backend.run_timed ?pool m ~inputs in
-    let refs = Fhe_sim.Interp.run_reference p ~inputs in
-    let max_err = max_output_error refs outs in
+    let pr = prep H.Exec a in
+    let m, compile_ms =
+      cold_compile c
+        (H.exec_config ~iterations:(min 60 (hecate_budget a.Reg.name)) pr)
+        pr.H.prog
+    in
+    let r = H.run ?pool pr m in
+    let st = r.H.stats in
     {
       Fhe_check.Benchjson.app = a.Reg.name;
       compiler = label;
@@ -797,7 +740,7 @@ let measure_exec ?pool () =
             eval_ms = st.Ckks.Backend.eval_ms;
             decrypt_ms = st.Ckks.Backend.decrypt_ms;
             keygen_ms = st.Ckks.Backend.keygen_ms;
-            max_err;
+            max_err = H.max_error r;
             peak_ct_bytes = st.Ckks.Backend.mem.Ckks.Backend.peak_ct_bytes;
             order_ct_bytes = st.Ckks.Backend.mem.Ckks.Backend.order_ct_bytes;
             resident_ct_bytes =
@@ -807,13 +750,10 @@ let measure_exec ?pool () =
     }
   in
   let entries, wall_ms =
-    Fhe_util.Timer.time (fun () -> List.map measure pairs)
-  in
-  let domains =
-    match pool with None -> 1 | Some p -> Fhe_par.Pool.domains p
+    Fhe_util.Timer.time (fun () -> List.map measure (pairs apps))
   in
   { Fhe_check.Benchjson.rbits = Reg.exec_rbits; wbits = Reg.exec_wbits;
-    domains; wall_time_par = wall_ms;
+    domains = width pool; wall_time_par = wall_ms;
     cache = Fhe_check.Benchjson.no_cache_stats; serve = None;
     portfolio = None; entries }
 
@@ -821,28 +761,27 @@ let measure_exec ?pool () =
    keeps max_err (bit-identical decrypts at every width): the @exec
    harness byte-compares a -j 1 emission against a -j 4 one *)
 let scrub_exec run =
-  match Sys.getenv_opt "BENCH_EXEC_DETERMINISTIC" with
-  | None | Some "" | Some "0" -> run
-  | Some _ ->
-      { run with
-        Fhe_check.Benchjson.domains = 1;
-        wall_time_par = 0.0;
-        entries =
-          List.map
-            (fun m ->
-              { m with
-                Fhe_check.Benchjson.compile_ms = 0.0;
-                exec =
-                  Option.map
-                    (fun e ->
-                      { e with
-                        Fhe_check.Benchjson.exec_ms = 0.0;
-                        encrypt_ms = 0.0;
-                        eval_ms = 0.0;
-                        decrypt_ms = 0.0;
-                        keygen_ms = 0.0 })
-                    m.Fhe_check.Benchjson.exec })
-            run.Fhe_check.Benchjson.entries }
+  if not (env_flag "BENCH_EXEC_DETERMINISTIC") then run
+  else
+    { run with
+      Fhe_check.Benchjson.domains = 1;
+      wall_time_par = 0.0;
+      entries =
+        List.map
+          (fun m ->
+            { m with
+              Fhe_check.Benchjson.compile_ms = 0.0;
+              exec =
+                Option.map
+                  (fun e ->
+                    { e with
+                      Fhe_check.Benchjson.exec_ms = 0.0;
+                      encrypt_ms = 0.0;
+                      eval_ms = 0.0;
+                      decrypt_ms = 0.0;
+                      keygen_ms = 0.0 })
+                  m.Fhe_check.Benchjson.exec })
+          run.Fhe_check.Benchjson.entries }
 
 (* the kernel-level before/after: the retained scalar NTT vs the
    optimized Rvec/Shoup/Barrett one, same plan, n = 2^12 *)
@@ -874,21 +813,12 @@ let ntt_microbench () =
     t_opt (t_ref /. t_opt)
 
 let exec_section () =
+  let apps = exec_apps () in
   section "BENCH_exec.json: real CKKS runtime per app x compiler";
   ntt_microbench ();
-  let run = with_pool (fun pool -> measure_exec ?pool ()) in
-  let run = scrub_exec run in
-  let text =
-    Fhe_check.Benchjson.to_string (Fhe_check.Benchjson.run_to_json run)
-  in
-  (match Fhe_check.Benchjson.parse text with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench exec: emitted malformed JSON: " ^ e));
+  let run = scrub_exec (with_pool (fun pool -> measure_exec ?pool apps)) in
   let out = exec_out () in
-  let oc = open_out out in
-  output_string oc text;
-  output_char oc '\n';
-  close_out oc;
+  emit ~what:"exec" ~out run;
   List.iter
     (fun (m : Fhe_check.Benchjson.measurement) ->
       match m.Fhe_check.Benchjson.exec with
@@ -940,39 +870,27 @@ let gate () =
           (List.length regressions) path;
         failures := !failures + List.length regressions
   in
-  let path =
-    try Sys.getenv "BENCH_JSON_BASELINE" with Not_found -> json_out ()
-  in
+  let path = env_or "BENCH_JSON_BASELINE" (json_out ()) in
   let baseline = load_baseline path in
   let current = with_pool (fun pool -> measure_run ?pool ()) in
   diff ~what:"compile" ~path baseline current;
   (* the runtime side: re-run the exec batch and hold it to the
      committed BENCH_exec.json.  Skipped (with a note) when no exec
      baseline exists, so compile-only checkouts still gate. *)
-  let epath =
-    try Sys.getenv "BENCH_EXEC_BASELINE" with Not_found -> exec_out ()
-  in
+  let epath = env_or "BENCH_EXEC_BASELINE" (exec_out ()) in
   if not (Sys.file_exists epath) then
     Printf.printf "exec gate skipped: no baseline at %s\n" epath
   else begin
     let exec_slack =
-      match
-        Option.bind (Sys.getenv_opt "BENCH_EXEC_SLACK") float_of_string_opt
-      with
-      | Some s when s > 1.0 -> s
-      | _ -> 3.0
+      env_float "BENCH_EXEC_SLACK" ~ok:(fun s -> s > 1.0) ~default:3.0
     in
     (* byte counts are deterministic, so the default slack is tight;
        BENCH_MEM_SLACK only exists to loosen an intentional change *)
     let mem_slack =
-      match
-        Option.bind (Sys.getenv_opt "BENCH_MEM_SLACK") float_of_string_opt
-      with
-      | Some s when s >= 1.0 -> s
-      | _ -> 1.10
+      env_float "BENCH_MEM_SLACK" ~ok:(fun s -> s >= 1.0) ~default:1.10
     in
     let baseline = load_baseline epath in
-    let current = with_pool (fun pool -> measure_exec ?pool ()) in
+    let current = with_pool (fun pool -> measure_exec ?pool (exec_apps ())) in
     diff ~what:"exec" ~path:epath ~exec_slack ~mem_slack baseline current
   end;
   if !failures > 0 then exit 1
@@ -992,11 +910,7 @@ module TLow = Fhe_tensor.Lower
 
 let tensor_section () =
   section "tensor: packing/layout search per tensor-frontend app";
-  let deterministic =
-    match Sys.getenv_opt "BENCH_JSON_DETERMINISTIC" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
+  let deterministic = env_flag "BENCH_JSON_DETERMINISTIC" in
   let reserve = strategy "reserve" in
   with_pool (fun pool ->
       List.iter
@@ -1022,24 +936,20 @@ let tensor_section () =
             let data = e.Tn.exec_data ~seed:42 in
             List.iter
               (fun plan ->
-                let p = TLow.lower ~plan eg in
-                let inputs = TLow.pack_inputs ~plan eg ~data in
-                let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-                let cfg =
-                  St.config ~xmax_bits ~iterations:0 ~rbits:Reg.exec_rbits
-                    ~wbits:Reg.exec_wbits ()
+                let pr =
+                  H.of_program (TLow.lower ~plan eg)
+                    ~inputs:(TLow.pack_inputs ~plan eg ~data)
                 in
-                let m =
-                  Fhe_cache.Store.bypass (fun () ->
-                      SReg.compile_uncached reserve cfg p)
+                let m, _ =
+                  cold_compile reserve (H.exec_config ~iterations:0 pr) pr.H.prog
                 in
-                Validator.check_exn m;
-                let outs, st = Ckks.Backend.run_timed ?pool m ~inputs in
-                let refs = TLow.reference ~plan eg ~data in
-                let max_err = max_output_error refs outs in
+                let r =
+                  H.run ?pool ~refs:(TLow.reference ~plan eg ~data) pr m
+                in
                 Printf.printf
                   "    exec %-12s eval %8.2f ms  max|err| %.3e%s\n"
-                  (TLay.name plan) st.Ckks.Backend.eval_ms max_err
+                  (TLay.name plan) r.H.stats.Ckks.Backend.eval_ms
+                  (H.max_error r)
                   (if plan = e.Tn.exec_plan then "  (exec pin)" else ""))
               (TLow.candidates eg)
           end)

@@ -11,6 +11,7 @@ open Fhe_ir
 module Reg = Fhe_apps.Registry
 module St = Fhe_strategy.Strategy
 module SReg = Fhe_strategy.Registry
+module H = Fhe_harness
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument definitions *)
@@ -98,36 +99,12 @@ let jobs_arg =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* -j N -> a pool for the driver (None = sequential legacy path) *)
-let with_pool jobs f =
-  let width = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-  if width = 1 then f None
-  else Fhe_par.Pool.with_pool ~domains:width (fun pool -> f (Some pool))
-
-let find_app name =
-  match Reg.find name with
-  | a -> Ok a
-  | exception Not_found ->
-      Error
-        (Printf.sprintf "unknown app %S; try: %s" name
-           (String.concat ", " (List.map (fun a -> a.Reg.name) Reg.all)))
-
 (* Escaped compiler exceptions become clean CLI errors, not backtraces. *)
 let protecting f =
   match f () with
   | v -> v
   | exception e ->
       Error (Printf.sprintf "compilation failed: %s" (Printexc.to_string e))
-
-let validated m =
-  match Validator.check m with
-  | Ok () -> Ok m
-  | Error es ->
-      Error
-        (Format.asprintf "illegal managed program:@\n%a"
-           (Format.pp_print_list ~pp_sep:Format.pp_print_newline
-              Validator.pp_error)
-           es)
 
 let render_attempts attempts =
   String.concat "\n"
@@ -160,12 +137,9 @@ let pp_portfolio (r : Fhe_strategy.Portfolio.report) =
 let do_compile ?(fallback = false) ?pool app compiler ~rbits ~wbits
     ~iterations =
   protecting (fun () ->
-      let p = app.Reg.build () in
-      let xmax_bits =
-        Fhe_sim.Interp.max_magnitude_bits p ~inputs:(app.Reg.inputs ~seed:42)
-      in
+      let pr = H.prepare H.Paper app in
       let iterations = if iterations <= 0 then None else Some iterations in
-      let cfg = St.config ~xmax_bits ?iterations ~rbits ~wbits () in
+      let cfg = H.config ?iterations ~rbits ~wbits pr in
       let name = String.lowercase_ascii compiler in
       if name = Fhe_strategy.Portfolio.mode_name then begin
         (* portfolio is a race, not a deep search: bound the Hecate
@@ -175,33 +149,31 @@ let do_compile ?(fallback = false) ?pool app compiler ~rbits ~wbits
             { cfg with St.iterations = Some 60 }
           else cfg
         in
-        match Fhe_strategy.Portfolio.run ?pool cfg p with
+        match Fhe_strategy.Portfolio.run ?pool cfg pr.H.prog with
         | Error msg -> Error msg
         | Ok r -> (
             pp_portfolio r;
             match
               r.Fhe_strategy.Portfolio.winner.Fhe_strategy.Portfolio.result
             with
-            | Ok m -> Ok (p, m, xmax_bits)
+            | Ok m -> Ok (pr, m)
             | Error _ -> assert false (* the winner is an Ok leg *))
       end
       else
-        match SReg.of_name name with
-        | None -> Error (Printf.sprintf "unknown compiler %S" name)
-        | Some s -> (
-            match
-              SReg.compile_safe s cfg ~strict:(not fallback) ~oracle:true
-                ~oracle_inputs:(app.Reg.inputs ~seed:42) p
-            with
-            | Ok o ->
-                List.iter
-                  (fun d -> Printf.printf "%s\n" (Reserve.Diag.to_string d))
-                  o.SReg.warnings;
-                if o.SReg.fallbacks <> [] then
-                  Printf.printf "fallback engine : %s (waterline %d)\n"
-                    o.SReg.strategy o.SReg.wbits;
-                Ok (p, o.SReg.managed, xmax_bits)
-            | Error attempts -> Error (render_attempts attempts)))
+        Result.bind (H.strategy name) @@ fun s ->
+        match
+          SReg.compile_safe s cfg ~strict:(not fallback) ~oracle:true
+            ~oracle_inputs:pr.H.inputs pr.H.prog
+        with
+        | Ok o ->
+            List.iter
+              (fun d -> Printf.printf "%s\n" (Reserve.Diag.to_string d))
+              o.SReg.warnings;
+            if o.SReg.fallbacks <> [] then
+              Printf.printf "fallback engine : %s (waterline %d)\n"
+                o.SReg.strategy o.SReg.wbits;
+            Ok (pr, o.SReg.managed)
+        | Error attempts -> Error (render_attempts attempts))
 
 let report app (m : Managed.t) xmax =
   Printf.printf "app            : %s (%s)\n" app.Reg.name app.Reg.description;
@@ -251,7 +223,7 @@ let compile_cmd =
       strict jobs =
     let compiler = Option.value strategy ~default:compiler in
     handle
-      (Result.bind (find_app app) (fun app ->
+      (Result.bind (H.find_app app) (fun app ->
            let compile pool =
              do_compile
                ~fallback:(fallback && not strict)
@@ -263,12 +235,12 @@ let compile_cmd =
              if
                String.lowercase_ascii compiler
                = Fhe_strategy.Portfolio.mode_name
-             then with_pool jobs compile
+             then H.with_pool jobs compile
              else compile None
            in
-           Result.bind compiled (fun (_, m, xmax) ->
-               Result.bind (validated m) (fun m ->
-                   report app m xmax;
+           Result.bind compiled (fun (pr, m) ->
+               Result.bind (H.validated m) (fun m ->
+                   report app m pr.H.xmax_bits;
                    if print_ir then
                      Format.printf "%a"
                        (Pp.pp_managed ~scale:m.Managed.scale
@@ -287,14 +259,14 @@ let compile_cmd =
 let run_cmd =
   let run () app compiler wbits rbits iterations seed =
     handle
-      (Result.bind (find_app app) (fun app ->
+      (Result.bind (H.find_app app) (fun app ->
            Result.bind (do_compile app compiler ~rbits ~wbits ~iterations)
-             (fun (p, m, xmax) ->
-               Result.bind (validated m) (fun m ->
-                   report app m xmax;
+             (fun (pr, m) ->
+               Result.bind (H.validated m) (fun m ->
+                   report app m pr.H.xmax_bits;
                    let inputs = app.Reg.inputs ~seed in
                    let outs = Fhe_sim.Interp.run m ~inputs in
-                   let refs = Fhe_sim.Interp.run_reference p ~inputs in
+                   let refs = Fhe_sim.Interp.run_reference pr.H.prog ~inputs in
                    Array.iteri
                      (fun i (v : Fhe_sim.Interp.value) ->
                        Printf.printf
@@ -326,10 +298,10 @@ let run_cmd =
 let compare_cmd =
   let run () app wbits rbits iterations =
     handle
-      (Result.bind (find_app app) (fun app ->
+      (Result.bind (H.find_app app) (fun app ->
            let one name =
              Result.map
-               (fun (_, m, _) -> (name, Fhe_cost.Model.estimate m))
+               (fun (_, m) -> (name, Fhe_cost.Model.estimate m))
                (do_compile app name ~rbits ~wbits ~iterations)
            in
            Result.bind (one "eva") (fun eva ->
@@ -372,17 +344,9 @@ let compile_file_cmd =
        | Error e ->
            Error (Format.asprintf "%s: %a" file Parser.pp_error e)
        | Ok p ->
-           let m =
-             match SReg.of_name compiler with
-             | Some s ->
-                 Ok (SReg.compile s (St.config ~rbits ~wbits ()) p)
-             | None ->
-                 Error
-                   (Printf.sprintf "unknown compiler %S"
-                      (String.lowercase_ascii compiler))
-           in
-           Result.bind m (fun m ->
-           Result.bind (validated m) (fun m ->
+           Result.bind (H.strategy compiler) @@ fun s ->
+           Result.bind (H.compile s (St.config ~rbits ~wbits ()) p)
+             (fun (m, _) ->
                Printf.printf "%s: %d ops -> %d managed, L = %d, est %.3f s\n"
                  file (Program.n_arith p)
                  (Program.n_ops m.Managed.prog)
@@ -400,7 +364,7 @@ let compile_file_cmd =
                    close_out oc;
                    Printf.printf "wrote %s\n" path)
                  dot;
-               Ok ())))
+               Ok ()))
   in
   Cmd.v
     (Cmd.info "compile-file"
@@ -423,7 +387,7 @@ let fuzz_cmd =
     handle
       (if seeds <= 0 then Error "--seeds must be positive"
        else
-         with_pool jobs (fun pool ->
+         H.with_pool jobs (fun pool ->
              let s =
                Fhe_check.Fuzzdriver.run ?pool ~size ~rbits ~wbits ~strict
                  ~seeds ()
@@ -467,7 +431,7 @@ let check_cmd =
       (if (not apps) && gen <= 0 then
          Error "nothing to check: pass --apps and/or --gen N"
        else
-         with_pool jobs (fun pool ->
+         H.with_pool jobs (fun pool ->
              let progress = if verbose then print_endline else fun _ -> () in
              let s =
                Fhe_check.Conformance.run ?pool ~rbits ~wbits
@@ -497,12 +461,14 @@ let exec_cmd =
      and a waterline that leaves headroom under them *)
   let exec_waterline_arg =
     let doc = "Waterline in bits (the minimum ciphertext scale)." in
-    Arg.(value & opt int 22 & info [ "waterline"; "w" ] ~docv:"BITS" ~doc)
+    Arg.(
+      value & opt int Reg.exec_wbits
+      & info [ "waterline"; "w" ] ~docv:"BITS" ~doc)
   in
   let exec_rbits_arg =
     let doc = "Rescaling factor in bits (must be at most 28: chain \
                primes live below 2^30)." in
-    Arg.(value & opt int 28 & info [ "rbits" ] ~docv:"BITS" ~doc)
+    Arg.(value & opt int Reg.exec_rbits & info [ "rbits" ] ~docv:"BITS" ~doc)
   in
   let mem_budget_arg =
     let doc = "Ciphertext + switch-key memory budget in bytes (0 = \
@@ -519,78 +485,56 @@ let exec_cmd =
   in
   let run () app compiler wbits rbits iterations seed jobs mem_budget no_sched =
     handle
-      (Result.bind (find_app app) (fun app ->
-           protecting @@ fun () ->
-           let p = app.Reg.exec_build () in
-           let inputs = app.Reg.exec_inputs ~seed in
-           let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
-           let iterations = if iterations <= 0 then None else Some iterations in
-           let m =
-             match SReg.of_name compiler with
-             | Some s ->
-                 Ok
-                   (SReg.compile s
-                      (St.config ~xmax_bits ?iterations ~rbits ~wbits ())
-                      p)
-             | None ->
-                 Error
-                   (Printf.sprintf "unknown compiler %S"
-                      (String.lowercase_ascii compiler))
-           in
-           Result.bind m (fun m ->
-           Result.bind (validated m) (fun m ->
-               with_pool jobs (fun pool ->
-                   let mem_budget =
-                     if mem_budget > 0 then Some mem_budget else None
-                   in
-                   let outs, st =
-                     Ckks.Backend.run_timed ?pool ~sched:(not no_sched)
-                       ?mem_budget m ~inputs
-                   in
-                   let refs = Fhe_sim.Interp.run_reference p ~inputs in
-                   (* results on stdout — deterministic at every pool
-                      width and across runs (seeded samplers), so the
-                      test tree can byte-compare -j 1 against -j 4;
-                      wall times go to stderr *)
-                   Printf.printf "app %s compiler %s  L=%d  slots=%d\n"
-                     app.Reg.name
-                     (String.lowercase_ascii compiler)
-                     (Managed.input_level m)
-                     (Program.n_slots p);
-                   let errs = Fhe_sim.Oracle.output_errors refs outs in
-                   Array.iteri
-                     (fun o out ->
-                       Printf.printf
-                         "output %d: slots [%.4f %.4f %.4f]  max|err| %.3e  \
-                          level %d\n"
-                         o out.(0) out.(1) out.(2) errs.(o)
-                         st.Ckks.Backend.output_levels.(o))
-                     outs;
-                   Printf.eprintf
-                     "keygen %.2f ms | encrypt %.2f ms | eval %.2f ms | \
-                      decrypt %.2f ms\n"
-                     st.Ckks.Backend.keygen_ms st.Ckks.Backend.encrypt_ms
-                     st.Ckks.Backend.eval_ms st.Ckks.Backend.decrypt_ms;
-                   (* memory report stays on stderr: stdout is
-                      byte-compared across budgets by the test tree *)
-                   let mem = st.Ckks.Backend.mem in
-                   Printf.eprintf
-                     "mem: peak ct %d B (program order %d B, no-free %d B, \
-                      %s) | peak keys %d B | key gens %d evictions %d | \
-                      spills %d reloads %d recomputes %d | arena reuses %d \
-                      | hoisted rotations %d\n"
-                     mem.Ckks.Backend.peak_ct_bytes
-                     mem.Ckks.Backend.order_ct_bytes
-                     mem.Ckks.Backend.resident_ct_bytes
-                     (if mem.Ckks.Backend.reordered then "reordered"
-                      else "program order")
-                     mem.Ckks.Backend.peak_key_bytes
-                     mem.Ckks.Backend.key_gens mem.Ckks.Backend.key_evictions
-                     mem.Ckks.Backend.ct_spills mem.Ckks.Backend.ct_reloads
-                     mem.Ckks.Backend.ct_recomputes
-                     mem.Ckks.Backend.arena_reuses
-                     mem.Ckks.Backend.hoisted_rotations;
-                   Ok ())))))
+      (Result.bind (H.find_app app) @@ fun app ->
+       Result.bind (H.strategy compiler) @@ fun s ->
+       protecting @@ fun () ->
+       let pr = H.prepare ~seed H.Exec app in
+       let iterations = if iterations <= 0 then None else Some iterations in
+       Result.bind (H.compile s (H.config ?iterations ~rbits ~wbits pr) pr.H.prog)
+       @@ fun (m, _) ->
+       H.with_pool jobs @@ fun pool ->
+       let mem_budget = if mem_budget > 0 then Some mem_budget else None in
+       let r = H.run ?pool ~sched:(not no_sched) ?mem_budget pr m in
+       let st = r.H.stats in
+       (* results on stdout — deterministic at every pool width and
+          across runs (seeded samplers), so the test tree can
+          byte-compare -j 1 against -j 4; wall times go to stderr *)
+       Printf.printf "app %s compiler %s  L=%d  slots=%d\n" app.Reg.name
+         (String.lowercase_ascii compiler)
+         (Managed.input_level m)
+         (Program.n_slots pr.H.prog);
+       Array.iteri
+         (fun o out ->
+           Printf.printf
+             "output %d: slots [%.4f %.4f %.4f]  max|err| %.3e  level %d\n" o
+             out.(0) out.(1) out.(2) r.H.errors.(o)
+             st.Ckks.Backend.output_levels.(o))
+         r.H.outputs;
+       Printf.eprintf
+         "keygen %.2f ms | encrypt %.2f ms | eval %.2f ms | \
+          decrypt %.2f ms\n"
+         st.Ckks.Backend.keygen_ms st.Ckks.Backend.encrypt_ms
+         st.Ckks.Backend.eval_ms st.Ckks.Backend.decrypt_ms;
+       (* memory report stays on stderr: stdout is
+          byte-compared across budgets by the test tree *)
+       let mem = st.Ckks.Backend.mem in
+       Printf.eprintf
+         "mem: peak ct %d B (program order %d B, no-free %d B, \
+          %s) | peak keys %d B | key gens %d evictions %d | \
+          spills %d reloads %d recomputes %d | arena reuses %d \
+          | hoisted rotations %d\n"
+         mem.Ckks.Backend.peak_ct_bytes
+         mem.Ckks.Backend.order_ct_bytes
+         mem.Ckks.Backend.resident_ct_bytes
+         (if mem.Ckks.Backend.reordered then "reordered"
+          else "program order")
+         mem.Ckks.Backend.peak_key_bytes
+         mem.Ckks.Backend.key_gens mem.Ckks.Backend.key_evictions
+         mem.Ckks.Backend.ct_spills mem.Ckks.Backend.ct_reloads
+         mem.Ckks.Backend.ct_recomputes
+         mem.Ckks.Backend.arena_reuses
+         mem.Ckks.Backend.hoisted_rotations;
+       Ok ())
   in
   Cmd.v
     (Cmd.info "exec"
@@ -618,24 +562,26 @@ let socket_arg =
   Arg.(value & opt string "/tmp/fhec.sock"
        & info [ "socket"; "s" ] ~docv:"PATH" ~doc)
 
+(* one row of a strategy listing: `fhec --list-strategies` prints the
+   local registry, `fhec client strategies` a daemon's *)
+let strategy_row name caps aliases =
+  Printf.printf "%-12s  %-32s%s\n" name (St.caps_string caps)
+    (match aliases with
+    | [] -> ""
+    | l -> Printf.sprintf "  (aliases: %s)" (String.concat ", " l))
+
 (* CLI compiler names -> canonical protocol labels *)
 let protocol_compiler c =
   if c = Fhe_strategy.Portfolio.mode_name then Ok c
-  else
-    match SReg.of_name c with
-    | Some s -> Ok (St.name s)
-    | None -> Error (Printf.sprintf "unknown compiler %S" c)
+  else Result.map St.name (H.strategy c)
 
 let build_request ?(strategies = []) app_name compiler ~tenant ~rbits ~wbits
     ~iterations ~fallback ~deadline_ms =
-  Result.bind (find_app app_name) @@ fun app ->
+  Result.bind (H.find_app app_name) @@ fun app ->
   Result.bind (protocol_compiler (String.lowercase_ascii compiler))
   @@ fun compiler ->
   protecting @@ fun () ->
-  let p = app.Reg.build () in
-  let xmax_bits =
-    Fhe_sim.Interp.max_magnitude_bits p ~inputs:(app.Reg.inputs ~seed:42)
-  in
+  let pr = H.prepare H.Paper app in
   Ok
     {
       Proto.tenant;
@@ -643,12 +589,12 @@ let build_request ?(strategies = []) app_name compiler ~tenant ~rbits ~wbits
       strategies;
       rbits;
       wbits;
-      xmax_bits;
+      xmax_bits = pr.H.xmax_bits;
       iterations;
       allow_fallback = fallback;
       oracle = true;
       deadline_ms;
-      program = p;
+      program = pr.H.prog;
     }
 
 let self_test ~socket =
@@ -846,7 +792,7 @@ let client_cmd =
               log.Cli.attempts log.Cli.sheds log.Cli.transport_errors;
           match reply with
           | Proto.Compiled r | Proto.Degraded r ->
-              Result.bind (find_app app) @@ fun app ->
+              Result.bind (H.find_app app) @@ fun app ->
               List.iter print_endline r.Proto.warnings;
               if Proto.reply_name reply = "degraded" then
                 Printf.printf "degraded: engine %s at waterline %d\n"
@@ -864,30 +810,15 @@ let client_cmd =
               Error "unexpected reply type")
       | "strategies" ->
           Result.map
-            (fun infos ->
-              List.iter
-                (fun (i : Proto.strategy_info) ->
-                  let caps =
-                    let flags =
-                      List.filter_map
-                        (fun (b, n) -> if b then Some n else None)
-                        [
-                          (i.Proto.s_redistributes, "redistributes");
-                          (i.Proto.s_hoists, "hoists");
-                          (i.Proto.s_explores, "explores");
-                          (i.Proto.s_fallback, "fallback");
-                        ]
-                    in
-                    if flags = [] then "-" else String.concat "," flags
-                  in
-                  let aliases =
-                    if i.Proto.s_aliases = [] then ""
-                    else
-                      Printf.sprintf "  (aliases: %s)"
-                        (String.concat ", " i.Proto.s_aliases)
-                  in
-                  Printf.printf "%-12s  %-32s%s\n" i.Proto.s_name caps aliases)
-                infos)
+            (List.iter (fun (i : Proto.strategy_info) ->
+                 strategy_row i.Proto.s_name
+                   {
+                     St.redistributes = i.Proto.s_redistributes;
+                     hoists = i.Proto.s_hoists;
+                     explores = i.Proto.s_explores;
+                     fallback_chain = i.Proto.s_fallback;
+                   }
+                   i.Proto.s_aliases))
             (with_conn socket Cli.list_strategies)
       | other ->
           Error
@@ -1002,7 +933,7 @@ let tensor_cmd =
                           prog)
                 | None ->
                     let cands, best =
-                      with_pool jobs (fun pool ->
+                      H.with_pool jobs (fun pool ->
                           TLow.search ?pool ?rbits ?wbits g)
                     in
                     List.iter
@@ -1036,15 +967,7 @@ let list_strategies_term =
     if not list then `Help (`Pager, None)
     else begin
       List.iter
-        (fun s ->
-          let aliases =
-            match St.aliases s with
-            | [] -> ""
-            | l -> Printf.sprintf "  (aliases: %s)" (String.concat ", " l)
-          in
-          Printf.printf "%-12s  %-32s%s\n" (St.name s)
-            (St.caps_string (St.caps s))
-            aliases)
+        (fun s -> strategy_row (St.name s) (St.caps s) (St.aliases s))
         (SReg.all ());
       Printf.printf "%-12s  %s\n" Fhe_strategy.Portfolio.mode_name
         "race every strategy, keep the best est-latency plan";

@@ -204,12 +204,12 @@ let check_pins name (r : Differential.report) =
 let test_differential_small_apps () =
   List.iter
     (fun (a : Reg.app) ->
-      let p = a.Reg.build () in
-      let inputs = a.Reg.inputs ~seed:42 in
-      let xmax_bits = Fhe_sim.Interp.max_magnitude_bits p ~inputs in
+      let { Fhe_harness.prog; inputs; xmax_bits } =
+        Fhe_harness.prepare Fhe_harness.Paper a
+      in
       let r =
         Differential.run ~wbits:30 ~xmax_bits ~hecate_iterations:60
-          ~label:a.Reg.name p ~inputs
+          ~label:a.Reg.name prog ~inputs
       in
       (match Differential.failures r with
       | [] -> ()

@@ -48,10 +48,9 @@ let with_server ?(domains = 2) ?(capacity = 8) ?(degrade_at = 6)
 
 let app_request ?(tenant = "") ?(compiler = "reserve-full") ?(rbits = 60)
     ?(wbits = 30) ?(iterations = 10) ?(deadline_ms = 0) app_name =
-  let app = Reg.find app_name in
-  let program = app.Reg.build () in
-  let inputs = app.Reg.inputs ~seed:42 in
-  let xmax_bits = Fhe_sim.Interp.max_magnitude_bits program ~inputs in
+  let { Fhe_harness.prog = program; xmax_bits; _ } =
+    Fhe_harness.prepare Fhe_harness.Paper (Reg.find app_name)
+  in
   {
     Proto.tenant; compiler; strategies = []; rbits; wbits; xmax_bits;
     iterations; allow_fallback = false; oracle = false; deadline_ms; program;
